@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 from . import construct as construct_mod
 from . import verify as verify_mod
-from .errors import SetFileError, SumrepError
+from .errors import SetFileError, SumrepError, WindowError
 from .intset import blocks, from_values, load_set
 from .repcount import rep_count, rep_table, sumset
 from .runtime import resolve_thread_cap
@@ -59,8 +59,8 @@ def _common(sub: argparse.ArgumentParser, with_set: bool = True, with_mode: bool
                      help="output format (json is the structured report)")
     sub.add_argument("--out", help="write output to this file instead of stdout")
     sub.add_argument("--threads", type=int, default=None,
-                     help="internal parallelism cap (results never depend on it); "
-                          "defaults to SUMREP_THREADS or the CPU count")
+                     help="thread cap, validated for compatibility (must be >= 1; "
+                          "defaults to SUMREP_THREADS); sumrep computes in one thread")
     sub.add_argument("--no-meta", action="store_true",
                      help="omit timestamps from structured output")
     if with_set:
@@ -156,6 +156,8 @@ def _cmd_rep(args) -> int:
     if (args.n is None) == (args.window is None):
         raise SumrepError("rep takes exactly one of --n or --window")
     if args.n is not None:
+        if mode.kind == "prefix" and args.n > mode.bound:
+            raise WindowError(f"n={args.n} exceeds the exactness bound {mode.bound}")
         count = rep_count(A, args.h, args.n)
         if args.format == "json":
             _emit_json(args, {
@@ -213,21 +215,17 @@ def _cmd_bhs(args) -> int:
 def _cmd_premise(args) -> int:
     A = load_set(args.set_path)
     mode = _mode(args)
-    if args.n0 is None:
-        n0 = verify_mod.min_threshold(A, args.h, args.ell, mode)
-        if n0 is None:
-            if args.format == "json":
-                _emit_json(args, {
-                    "schema_version": 1, "command": "premise",
-                    "h": args.h, "ell": args.ell, "mode": mode.label(),
-                    "min_threshold": None,
-                })
-            else:
-                _emit(args, "no threshold: the window's top sum violates")
-            return FAIL
-        report = verify_mod.check_premise(A, args.h, args.ell, n0, mode)
-    else:
-        report = verify_mod.check_premise(A, args.h, args.ell, args.n0, mode)
+    report = verify_mod.check_premise(A, args.h, args.ell, args.n0, mode)
+    if args.n0 is None and not report.holds:
+        if args.format == "json":
+            _emit_json(args, {
+                "schema_version": 1, "command": "premise",
+                "h": args.h, "ell": args.ell, "mode": mode.label(),
+                "min_threshold": None,
+            })
+        else:
+            _emit(args, "no threshold: the window's top sum violates")
+        return FAIL
     if args.format == "json":
         doc = {"schema_version": 1, "command": "premise", "mode": mode.label()}
         doc.update(report.to_dict())

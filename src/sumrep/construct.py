@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CertificateError, ParameterError
 from .intset import IntegerSet, counting, from_values
-from .verify import Mode, bound_value, check_premise, compute_k0, min_threshold
+from .verify import Mode, bound_value, check_premise, compute_k0
 
 STRATEGIES = ("smallest-new", "largest-new", "balanced")
 
@@ -209,13 +209,10 @@ def greedy_repair(
             insert(e, n)
 
     final = from_values(ordered)
-    n0 = min_threshold(final, 2, ell, Mode.prefix(watermark))
-    certified = False
-    checked = 0
-    if n0 is not None:
-        report = check_premise(final, 2, ell, n0, Mode.prefix(watermark))
-        certified = report.holds
-        checked = report.checked_count
+    report = check_premise(final, 2, ell, None, Mode.prefix(watermark))
+    certified = report.holds
+    n0 = report.n0 if certified else None
+    checked = report.checked_count if certified else 0
 
     curve = tuple((x, counting(final, x)) for x in _checkpoints(horizon))
     return ConstructionLog(

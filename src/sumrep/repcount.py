@@ -5,15 +5,16 @@ count).  Three independent routes exist on purpose:
 
   * ``rep_count_naive``: exhaustive recursive enumeration, the correctness
     oracle for everything else;
-  * ``rep_count``: memoized index recursion (reuse current element or
-    advance), fast for single n;
-  * ``rep_table``: a batched dynamic program over the sorted elements that
-    fills a whole window at once, O(|A| * h * window).
+  * ``rep_count``: memoized recursion on the number of summands left, fast
+    for single n and the only route whose cost does not grow with max(A);
+  * ``rep_table``: one sweep over the sorted elements that fills a whole
+    window at once, O(|A| * h * window).
 
-Table counts live in unsigned 64 bits.  When the multiset total
-C(|A|+h-1, h) fits in u64, no intermediate cell can overflow and the DP
-runs on numpy; otherwise an arbitrary-precision sweep runs and any count
-exceeding u64 aborts rather than saturating.
+The sweep keeps one unsigned 64-bit row per number of summands.  Every
+cell it keeps is bounded by some h-fold count in the window, so it checks
+each add for wrap-around and raises ``CountOverflowError`` exactly when a
+count in the window exceeds 64 bits; the check is skipped when the
+multiset total C(#elements + h - 1, h) fits, since then no cell can wrap.
 
 A table built from a prefix of a larger set is exact for all n up to the
 prefix completeness bound M: every summand of such an n is itself <= M,
@@ -25,8 +26,9 @@ from __future__ import annotations
 import io
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,70 +63,80 @@ def rep_count_naive(A: IntegerSet, h: int, n: int) -> int:
 
 
 def rep_count(A: IntegerSet, h: int, n: int) -> int:
-    """Exact r_{A,h}(n): nondecreasing h-tuples over A summing to n."""
+    """Exact r_{A,h}(n): nondecreasing h-tuples over A summing to n.
+
+    Recursion depth is at most h: each level picks the index of the
+    smallest remaining summand.  Each (summands left, sum) pair is solved
+    once, for every starting index at once (suffix sums), in O(|A|) steps;
+    there are at most h*n such pairs and at most |A|^(h-2) per level, so
+    huge elements on a sparse set cost nothing extra.
+    """
     if h < 1:
         raise ParameterError(f"h must be >= 1, got {h}")
     if n < 0 or not A.elements:
         return 0
     els = A.elements
     top = els[-1]
-    memo: dict[tuple[int, int, int], int] = {}
+    memo: dict[tuple[int, int], tuple[int, list[int]]] = {}
 
     def go(i: int, left: int, s: int) -> int:
-        if left == 0:
-            return 1 if s == 0 else 0
-        if i == len(els):
-            return 0
-        if s < left * els[i] or s > left * top:
-            return 0
-        key = (i, left, s)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        # use els[i] once more, or never again
-        result = go(i, left - 1, s - els[i]) + go(i + 1, left, s)
-        memo[key] = result
-        return result
+        """Nondecreasing `left`-tuples over els[i:] summing to s."""
+        if left == 1:
+            return 1 if s >= els[i] and s in A else 0
+        found = memo.get((left, s))
+        if found is None:
+            # smallest summand els[t]: the other left-1 are in [els[t], top]
+            lo = bisect_left(els, s - (left - 1) * top)
+            hi = bisect_right(els, s // left)
+            tail = [0] * (max(hi - lo, 0) + 1)
+            for t in range(hi - 1, lo - 1, -1):
+                tail[t - lo] = tail[t - lo + 1] + go(t, left - 1, s - els[t])
+            found = memo[(left, s)] = (lo, tail)
+        lo, tail = found
+        k = max(i, lo) - lo
+        return tail[k] if k < len(tail) else 0
 
     return go(0, h, n)
 
 
-def _numpy_safe(set_size: int, h: int) -> bool:
-    """True when no DP cell can exceed u64: every cell is bounded by the
-    multiset total C(set_size + h - 1, h)."""
-    return math.comb(set_size + h - 1, h) <= U64_MAX
+def _sweep(
+    elements: Sequence[int],
+    h: int,
+    hi: int,
+    visit: Callable[[int, list[np.ndarray]], None] | None = None,
+) -> list[np.ndarray]:
+    """Multiset counts by number of summands, one element at a time.
 
-
-def _dp_numpy(elements: Sequence[int], h: int, hi: int) -> np.ndarray:
-    dp = np.zeros((h + 1, hi + 1), dtype=np.uint64)
-    dp[0, 0] = 1
-    for a in elements:
-        if a > hi:
-            break
+    Returns rows[0..h] with rows[j][t] = the number of j-multisets of the
+    elements <= hi summing to t; ``visit(a, rows)`` sees the rows after each
+    element a, when they count multisets of the elements <= a.  Row j stops
+    at hi - (h-j)*min(A): no count on [0, hi] reads past it, and padding
+    with h-j copies of min(A) bounds every kept cell by an h-fold count on
+    [0, hi].  Hence an add wraps exactly when some r_h(n), n <= hi, exceeds
+    64 bits, and that raises CountOverflowError.
+    """
+    stop = bisect_right(elements, hi)
+    least = elements[0] if stop else 0
+    rows = [np.zeros(max(0, hi - (h - j) * least + 1), dtype=np.uint64) for j in range(h + 1)]
+    if rows[0].size:
+        rows[0][0] = 1
+    checked = math.comb(stop + h - 1, h) > U64_MAX
+    for a in elements[:stop]:
         for j in range(1, h + 1):
-            if a == 0:
-                dp[j, :] += dp[j - 1, :]
-            else:
-                dp[j, a:] += dp[j - 1, : hi + 1 - a]
-    return dp[h]
-
-
-def _dp_python(elements: Sequence[int], h: int, hi: int) -> list[int]:
-    dp = [[0] * (hi + 1) for _ in range(h + 1)]
-    dp[0][0] = 1
-    for a in elements:
-        if a > hi:
-            break
-        for j in range(1, h + 1):
-            row, prev = dp[j], dp[j - 1]
-            for s in range(a, hi + 1):
-                row[s] += prev[s - a]
-    worst = max(dp[h]) if dp[h] else 0
-    if worst > U64_MAX:
-        raise CountOverflowError(
-            f"representation count {worst} exceeds the unsigned 64-bit range"
-        )
-    return dp[h]
+            row = rows[j]
+            width = row.size - a
+            if width <= 0:
+                continue
+            head, add = row[a:], rows[j - 1][:width]
+            if checked and np.any(add > ~head):
+                raise CountOverflowError(
+                    f"a {h}-fold representation count on [0, {hi}] exceeds "
+                    f"the unsigned 64-bit range"
+                )
+            head += add
+        if visit is not None:
+            visit(a, rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -195,8 +207,9 @@ def rep_table(
     set up to M; counts are then exact for all n <= M.  Without it the set
     is treated as complete and the exactness bound is h*max(A).
 
-    The result is independent of ``threads``; the cap exists for interface
-    symmetry with the verification layer.
+    Counts come from one checked 64-bit sweep; a count above 2^64 - 1 in
+    the window raises CountOverflowError.  ``threads`` is validated and
+    otherwise ignored: the sweep runs in one thread.
     """
     if h < 1:
         raise ParameterError(f"h must be >= 1, got {h}")
@@ -224,12 +237,7 @@ def rep_table(
     else:
         bound = full
 
-    if _numpy_safe(len(A), h):
-        row = _dp_numpy(A.elements, h, hi)
-        values = tuple(int(c) for c in row[lo : hi + 1])
-    else:
-        row = _dp_python(A.elements, h, hi)
-        values = tuple(row[lo : hi + 1])
+    values = tuple(_sweep(A.elements, h, hi)[h][lo : hi + 1].tolist())
     return RepTable(
         base_set=A,
         h=h,

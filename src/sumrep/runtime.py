@@ -1,7 +1,10 @@
-"""Thread-cap resolution shared by the verification layer and the CLI.
+"""Thread-cap validation shared by the verification layer and the CLI.
 
-All operations are pure functions of their inputs; a thread cap is an
-upper bound on internal parallelism and never affects results.
+sumrep computes in one thread: its work is Python and NumPy code that a
+thread pool only slows down under the interpreter lock.  The cap
+(``threads=``, ``--threads``, SUMREP_THREADS) is still accepted and
+validated, so existing callers and scripts keep working, but it selects
+nothing.
 """
 
 from __future__ import annotations

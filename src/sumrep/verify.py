@@ -25,7 +25,6 @@ import io
 import json
 import math
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +35,7 @@ from .errors import (
     WindowError,
 )
 from .intset import IntegerSet, block_of, blocks, counting, from_values
-from .repcount import RepTable, rep_table
+from .repcount import RepTable, _sweep, rep_table
 from .runtime import resolve_thread_cap
 
 SLACK = 1e-9  # absolute slack on strict comparisons against float bounds
@@ -99,11 +98,11 @@ class Mode:
         return h * A.max_element if A.elements else 0
 
 
-def _window_table(A: IntegerSet, h: int, bound: int, threads: int | None = None) -> RepTable:
+def _window_table(A: IntegerSet, h: int, bound: int) -> RepTable:
     """Counts on [0, min(bound, h*max(A))], annotated with the bound."""
     full = h * A.max_element if A.elements else 0
     hi = min(bound, full)
-    return rep_table(A, h, window=(0, hi), prefix_bound=bound, threads=threads)
+    return rep_table(A, h, window=(0, hi), prefix_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,25 @@ class PremiseReport:
         }
 
 
-def _premise_from_table(table: RepTable, ell: int, n0: int, bound: int) -> PremiseReport:
+def check_premise(
+    A: IntegerSet, h: int, ell: int, n0: int | None = None, mode: Mode = Mode.complete()
+) -> PremiseReport:
+    """Verify r_{A,h}(n) >= ell for every n in hA with n0 <= n <= bound.
+
+    ``n0=None`` checks from the least passing threshold, read off the same
+    table; when no nonempty suffix of the window passes, the report is the
+    failing check from n0 = 0.
+    """
+    if ell < 2:
+        raise ParameterError(f"ell must be >= 2, got {ell}")
+    if n0 is not None and n0 < 0:
+        raise ParameterError(f"n0 must be >= 0, got {n0}")
+    bound = mode.exactness_bound(A, h)
+    table = _window_table(A, h, bound)
+    if n0 is None:
+        # just past the last short sum, unless that is the window's top
+        short = [n for n, c in table.items() if 1 <= c < ell]
+        n0 = short[-1] + 1 if short and short[-1] < bound else 0
     if n0 > bound:
         raise WindowError(f"window empty: n0={n0} exceeds exactness bound {bound}")
     violations = []
@@ -200,7 +217,7 @@ def _premise_from_table(table: RepTable, ell: int, n0: int, bound: int) -> Premi
         if c < ell:
             violations.append((n, c))
     return PremiseReport(
-        h=table.h,
+        h=h,
         ell=ell,
         n0=n0,
         window_lo=n0,
@@ -211,39 +228,11 @@ def _premise_from_table(table: RepTable, ell: int, n0: int, bound: int) -> Premi
     )
 
 
-def check_premise(
-    A: IntegerSet, h: int, ell: int, n0: int, mode: Mode = Mode.complete()
-) -> PremiseReport:
-    """Verify r_{A,h}(n) >= ell for every n in hA with n0 <= n <= bound."""
-    if ell < 2:
-        raise ParameterError(f"ell must be >= 2, got {ell}")
-    if n0 < 0:
-        raise ParameterError(f"n0 must be >= 0, got {n0}")
-    bound = mode.exactness_bound(A, h)
-    table = _window_table(A, h, bound)
-    return _premise_from_table(table, ell, n0, bound)
-
-
-def _min_threshold_from_table(table: RepTable, ell: int, bound: int) -> int | None:
-    worst = None
-    for n, c in table.items():
-        if 1 <= c < ell:
-            worst = n
-    if worst is None:
-        return 0
-    if worst >= bound:
-        return None
-    return worst + 1
-
-
 def min_threshold(A: IntegerSet, h: int, ell: int, mode: Mode = Mode.complete()) -> int | None:
     """Least n0 making check_premise pass on [n0, bound]; None if even the
     window's top sum violates (no nonempty suffix passes)."""
-    if ell < 2:
-        raise ParameterError(f"ell must be >= 2, got {ell}")
-    bound = mode.exactness_bound(A, h)
-    table = _window_table(A, h, bound)
-    return _min_threshold_from_table(table, ell, bound)
+    report = check_premise(A, h, ell, None, mode)
+    return report.n0 if report.holds else None
 
 
 def compute_k0(A: IntegerSet, h: int, n0: int) -> int:
@@ -413,42 +402,16 @@ def distinct_tops(
                 tops.append(n - a)
         return from_values(tops)
 
-    lo_top = -(-n // h)
-    start = bisect_left(A.elements, lo_top)
+    # After the sweep takes in b, rows[h-1][n-b] counts the completions of
+    # b by h-1 summands <= b; the all-b one is the diagonal representation.
     tops = []
-    for b in A.elements[start:]:
-        if b > n:
-            break
-        count = _completion_count(A, b, h - 1, n - b)
-        diagonal = 1 if (h * b == n) else 0
-        if count - diagonal >= 1:
+
+    def visit(b: int, rows) -> None:
+        if h * b >= n and int(rows[h - 1][n - b]) > (h * b == n):
             tops.append(b)
+
+    _sweep(A.elements, h - 1, n, visit)
     return from_values(tops)
-
-
-def _completion_count(A: IntegerSet, limit: int, size: int, total: int) -> int:
-    """Number of nondecreasing `size`-tuples of elements <= limit summing to total."""
-    els = A.elements[: bisect_right(A.elements, limit)]
-    if total < 0:
-        return 0
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def go(i: int, left: int, s: int) -> int:
-        if left == 0:
-            return 1 if s == 0 else 0
-        if i == len(els):
-            return 0
-        if s < left * els[i] or s > left * els[-1]:
-            return 0
-        key = (i, left, s)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = go(i, left - 1, s - els[i]) + go(i + 1, left, s)
-        memo[key] = result
-        return result
-
-    return go(0, size, total)
 
 
 # ---------------------------------------------------------------------------
@@ -562,33 +525,21 @@ def block_growth_check(
         )
 
     requirement = _block_requirement(ell, s)
-    cap = resolve_thread_cap(threads)
-
-    def certify(k: int) -> tuple[Witness | None, tuple[int, ...] | None]:
-        if k not in maxima or h * maxima[k] > bound:
-            return None, None
-        target = h * maxima[k]
-        try:
-            witness = witness_certificate(A, h, k, mode)
-        except CertificateError:
-            witness = None
-        tops = tuple(distinct_tops(A, h, target, mode))
-        return witness, tops
-
-    ks = list(range(k0, k_max + 2))
-    if cap > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            certificates = dict(zip(ks, pool.map(certify, ks)))
-    else:
-        certificates = {k: certify(k) for k in ks}
+    resolve_thread_cap(threads)
 
     entries = []
-    for k in ks:
+    for k in range(k0, k_max + 2):
         size = sizes.get(k, 0)
         required = 1 if k == k0 else requirement
         a_star = maxima.get(k)
         in_window = a_star is not None and h * a_star <= bound
-        witness, tops = certificates[k]
+        witness, tops = None, None
+        if in_window:
+            try:
+                witness = witness_certificate(A, h, k, mode)
+            except CertificateError:
+                pass
+            tops = tuple(distinct_tops(A, h, h * a_star, mode))
         tops_ok: bool | None = None
         tops_required = None
         if in_window and k <= k_max:
@@ -609,8 +560,8 @@ def block_growth_check(
                 size_ok=size >= required,
                 a_star=a_star,
                 target=h * a_star if in_window else None,
-                witness=witness if in_window else None,
-                tops=tops if in_window else None,
+                witness=witness,
+                tops=tops,
                 tops_required=tops_required,
                 tops_ok=tops_ok,
             )
@@ -755,7 +706,7 @@ def verify_counting_bound(
     if x_max < h:
         raise WindowError(f"x_max={x_max} below x >= h = {h}")
     xs = list(range(h, x_max + 1)) if exhaustive else _bound_candidates(A, h, x_max)
-    cap = resolve_thread_cap(threads)
+    resolve_thread_cap(threads)
 
     def check(x: int) -> BoundCheck:
         count = counting(A, x)
@@ -769,11 +720,7 @@ def verify_counting_bound(
             status = "fail"
         return BoundCheck(x=x, count=count, bound=bound, margin=margin, status=status)
 
-    if cap > 1 and len(xs) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            checks = tuple(pool.map(check, xs))
-    else:
-        checks = tuple(check(x) for x in xs)
+    checks = tuple(check(x) for x in xs)
     all_ok = all(c.status != "fail" for c in checks)
     return BoundResult(
         x_max=x_max, exhaustive=exhaustive, slack=SLACK, checks=checks, all_ok=all_ok
@@ -899,21 +846,19 @@ def run_theorem(
     with h-fold counts.
     """
     h, ell, s = _normalize_params(theorem_id, h, ell, s)
+    resolve_thread_cap(threads)
     bound = mode.exactness_bound(A, h)
-    table = _window_table(A, h, bound, threads=threads)
 
     failures: list[str] = []
 
-    n0 = _min_threshold_from_table(table, ell, bound)
-    if n0 is None:
-        premise = _premise_from_table(table, ell, 0, bound)
-        failures.append("premise")
-        k0 = None
-        w0 = None
-    else:
-        premise = _premise_from_table(table, ell, n0, bound)
+    premise = check_premise(A, h, ell, None, mode)
+    if premise.holds:
+        n0 = premise.n0
         k0 = compute_k0(A, h, n0)
         w0 = w0_value(theorem_id, h, ell, s, k0)
+    else:
+        failures.append("premise")
+        n0 = k0 = w0 = None
 
     bhs_report = None
     if theorem_id == "T3":

@@ -51,6 +51,15 @@ class TestRep:
         assert code == 2
         assert "exactly one" in err
 
+    def test_single_n_past_prefix_bound_rejected(self, capsys, range50):
+        code, out, err = run(capsys, "rep", "--h", "2", "--n", "60",
+                             "--mode", "prefix:50", "--set", range50)
+        assert code == 2
+        assert out == "" and "exceeds" in err
+        code, out, _ = run(capsys, "rep", "--h", "2", "--n", "50",
+                           "--mode", "prefix:50", "--set", range50)
+        assert code == 0 and out.strip() == "r=26"
+
     def test_bad_window(self, capsys, s123):
         code, _, err = run(capsys, "rep", "--h", "2", "--window", "oops",
                            "--set", s123)

@@ -5,16 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import multiset_sum_counts
-from sumrep.errors import ParameterError, RangeOverflowError, WindowError
-from sumrep.intset import from_values
-from sumrep.repcount import (
-    _dp_python,
-    _numpy_safe,
-    rep_count,
-    rep_count_naive,
-    rep_table,
-    sumset,
-)
+from sumrep.errors import CountOverflowError, ParameterError, RangeOverflowError, WindowError
+from sumrep.intset import U64_MAX, from_values
+from sumrep.repcount import rep_count, rep_count_naive, rep_table, sumset
 
 tiny_sets = st.frozensets(st.integers(0, 40), min_size=1, max_size=7)
 
@@ -65,6 +58,16 @@ class TestRepCount:
             rep_count(from_values([1]), 0, 1)
         with pytest.raises(ParameterError):
             rep_count_naive(from_values([1]), 0, 1)
+
+    def test_recursion_depth_bounded_by_h(self):
+        # one frame per element would exceed the interpreter's recursion limit
+        assert rep_count(from_values(range(3001)), 3, 3000) == 751501
+
+    def test_huge_elements_on_sparse_set(self):
+        A = from_values([0] + [2**k for k in range(61)])
+        assert rep_count(A, 2, 2**60) == 2  # 0 + 2^60 and 2^59 + 2^59
+        assert rep_count(A, 3, 2**60 + 2**59 + 1) == 1
+        assert rep_count(A, 3, 3 * 2**60 + 1) == 0
 
     @settings(max_examples=60)
     @given(tiny_sets, st.integers(2, 4))
@@ -194,11 +197,17 @@ def _partition_counts(limit):
     return p
 
 
-class TestArbitraryPrecisionPath:
-    def test_big_instances_use_python_sweep(self):
-        assert not _numpy_safe(41, 40)
-        assert _numpy_safe(7, 4)
+def _partitions_at_most(parts, limit):
+    """Independent oracle: partitions of n <= limit into at most `parts`
+    parts, by p_k(n) = p_{k-1}(n) + p_k(n-k) in Python integers."""
+    p = [1] + [0] * limit
+    for k in range(1, parts + 1):
+        for n in range(k, limit + 1):
+            p[n] += p[n - k]
+    return p
 
+
+class TestArbitraryPrecisionPath:
     def test_partition_numbers_on_python_path(self):
         # h = n with 0 in A makes r_{A,h}(n) the partition number p(n);
         # C(|A|+h-1, h) overflows u64 here, forcing the exact big-int sweep.
@@ -208,9 +217,21 @@ class TestArbitraryPrecisionPath:
         expected = _partition_counts(n)
         assert list(table.values) == expected
 
-    def test_paths_agree_on_small_input(self):
-        A = from_values([0, 2, 3, 7])
-        for h in (2, 3):
-            fast = rep_table(A, h)
-            slow = _dp_python(A.elements, h, fast.hi)
-            assert list(fast.values) == slow
+    def test_first_count_past_u64_raises(self):
+        # with 0 in A and n <= max(A), r_{A,h}(n) counts partitions of n
+        # into at most h parts
+        h = 20
+        expected = _partitions_at_most(h, 700)
+        first = next(n for n, c in enumerate(expected) if c > U64_MAX)
+        A = from_values(range(first + 1))
+        below = rep_table(A, h, window=(0, first - 1))
+        assert list(below.values) == expected[:first]
+        with pytest.raises(CountOverflowError):
+            rep_table(A, h, window=(0, first))
+
+    def test_row_bound_prevents_false_overflow(self):
+        # some 11-fold counts on [0, 26400] exceed 64 bits, but no 11-fold
+        # sum above 24200 can be completed to a 12-fold sum in the window
+        t = rep_table(from_values(range(2200, 4400)), 12, window=(0, 26400))
+        assert t.count(26400) == 1
+        assert t.total() == 1
