@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = verdict pass / computation done, 1 = mathematically
-negative verdict, 2 = usage or input error.  Structured (json) output is
-byte-stable for identical configurations once timestamps are suppressed
-with --no-meta.
+negative verdict, 2 = usage or input error, 3 = internal error (the
+computation ran out of memory or recursion depth).  Structured (json)
+output is byte-stable for identical configurations once timestamps are
+suppressed with --no-meta.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from datetime import datetime, timezone
 
 from . import construct as construct_mod
 from . import verify as verify_mod
-from .errors import SetFileError, SumrepError, WindowError
+from .errors import SumrepError, WindowError
 from .intset import blocks, from_values, load_set
 from .repcount import rep_count, rep_table, sumset
 from .runtime import resolve_thread_cap
 from .selftest import run_selftest
 
-PASS, FAIL, USAGE = 0, 1, 2
+PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _fmt(value: float) -> str:
@@ -60,7 +61,8 @@ def _common(sub: argparse.ArgumentParser, with_set: bool = True, with_mode: bool
     sub.add_argument("--out", help="write output to this file instead of stdout")
     sub.add_argument("--threads", type=int, default=None,
                      help="thread cap, validated for compatibility (must be >= 1; "
-                          "defaults to SUMREP_THREADS); sumrep computes in one thread")
+                          "defaults to SUMREP_THREADS); sumrep computes in one thread, "
+                          "so it changes nothing")
     sub.add_argument("--no-meta", action="store_true",
                      help="omit timestamps from structured output")
     if with_set:
@@ -175,8 +177,7 @@ def _cmd_rep(args) -> int:
     except ValueError:
         raise SumrepError(f"bad --window {args.window!r}; expected LO:HI") from None
     prefix_bound = mode.bound if mode.kind == "prefix" else None
-    table = rep_table(A, args.h, window=(lo, hi), prefix_bound=prefix_bound,
-                      threads=resolve_thread_cap(args.threads))
+    table = rep_table(A, args.h, window=(lo, hi), prefix_bound=prefix_bound)
     if args.format == "json":
         _emit_json(args, {
             "schema_version": 1,
@@ -248,8 +249,7 @@ def _cmd_theorem(args) -> int:
     A = load_set(args.set_path)
     mode = _mode(args)
     report = verify_mod.run_theorem(
-        A, args.theorem_id, h=args.h, ell=args.ell, s=args.s,
-        mode=mode, x_max=args.x_max, threads=resolve_thread_cap(args.threads),
+        A, args.theorem_id, h=args.h, ell=args.ell, s=args.s, mode=mode, x_max=args.x_max
     )
     if args.format == "json":
         meta = _meta(args)
@@ -394,16 +394,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
+        resolve_thread_cap(args.threads)
         return _COMMANDS[args.command](args)
-    except SetFileError as exc:
+    except (SumrepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except SumrepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    except (MemoryError, RecursionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@
 whenever n is a sum of two elements but has fewer than ``ell``
 representations, inserts new elements of the form n - a until the count
 reaches ell.  Repair partners a are restricted to a <= n/2, so every
-inserted element is >= n/2.  Consequently a run with horizon T can only be
-disturbed below floor(T/2) by its own repairs, never by later ones: that
-value is the certified watermark W, and only sums up to W are repaired.
+inserted element is >= n/2.  Only sums up to the watermark W = floor(T/2)
+of a run with horizon T are repaired.  Counts only grow, so a repaired sum
+stays repaired; a sum the scan passed with no representation can gain its
+first one from a later insertion and is not revisited.
 
 After the scan the result is re-certified from scratch through the
 verification layer (least threshold + premise check on [n0, W]); the
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import CertificateError, ParameterError
 from .intset import IntegerSet, counting, from_values
-from .verify import Mode, bound_value, check_premise, compute_k0
+from .verify import Mode, _bound_float, _bound_holds, _bound_terms, check_premise, compute_k0
 
 STRATEGIES = ("smallest-new", "largest-new", "balanced")
 
@@ -280,27 +281,26 @@ def density_report(log: ConstructionLog) -> DensityReport:
 
     Rows pair A(x) with the applicable logarithmic lower bound (the ell=2
     chain bound, or the ell>=3 pair-sum bound) and the (log x)^2 reference
-    curve.  At x = horizon the bound must hold; a violation means the
-    construction or the verifier is broken, so it raises.
+    curve.  At x = horizon the bound A(x) >= bound(x) must hold, decided
+    exactly; a violation means the construction or the verifier is broken,
+    so it raises.
     """
     if not log.certified or log.n0 is None:
         raise ParameterError("density_report requires a certified construction log")
     theorem_id = "T1" if log.target_ell == 2 else "T2"
-    ell = log.target_ell
     k0 = compute_k0(log.final_set, 2, log.n0)
-    rows = []
-    for x, count in log.density_curve:
-        if x < 2:
-            continue
-        lb = bound_value(theorem_id, 2, ell, None, k0, x)
-        rows.append(
-            DensityRow(x=x, count=count, lower_bound=lb, log_sq_ref=math.log(x) ** 2)
-        )
+    terms = _bound_terms(theorem_id, 2, log.target_ell, None, k0)
+    rows = tuple(
+        DensityRow(x=x, count=count, lower_bound=_bound_float(terms, x),
+                   log_sq_ref=math.log(x) ** 2)
+        for x, count in log.density_curve
+        if x >= 2
+    )
     last = rows[-1]
-    if last.x == log.horizon and last.count <= last.lower_bound:
+    if last.x == log.horizon and not _bound_holds(terms, last.count, last.x):
         raise CertificateError(
             f"certified construction violates its lower bound at x={last.x}: "
-            f"A(x)={last.count} <= {last.lower_bound}"
+            f"A(x)={last.count} < {last.lower_bound}"
         )
     ratio = last.count / (math.log(last.x) ** 2)
-    return DensityReport(theorem_id=theorem_id, k0=k0, rows=tuple(rows), final_ratio=ratio)
+    return DensityReport(theorem_id=theorem_id, k0=k0, rows=rows, final_ratio=ratio)

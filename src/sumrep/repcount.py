@@ -199,7 +199,6 @@ def rep_table(
     h: int,
     window: tuple[int, int] | None = None,
     prefix_bound: int | None = None,
-    threads: int | None = None,
 ) -> RepTable:
     """Batch-compute r_{A,h}(n) for every n in the window.
 
@@ -208,13 +207,10 @@ def rep_table(
     is treated as complete and the exactness bound is h*max(A).
 
     Counts come from one checked 64-bit sweep; a count above 2^64 - 1 in
-    the window raises CountOverflowError.  ``threads`` is validated and
-    otherwise ignored: the sweep runs in one thread.
+    the window raises CountOverflowError.
     """
     if h < 1:
         raise ParameterError(f"h must be >= 1, got {h}")
-    if threads is not None and threads < 1:
-        raise ParameterError(f"thread cap must be >= 1, got {threads}")
     ensure_headroom(A, h, "rep_table")
     full = h * A.max_element if A.elements else 0
     if window is None:

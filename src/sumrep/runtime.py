@@ -1,9 +1,9 @@
-"""Thread-cap validation shared by the verification layer and the CLI.
+"""Thread-cap validation for the CLI.
 
 sumrep computes in one thread: its work is Python and NumPy code that a
-thread pool only slows down under the interpreter lock.  The cap
-(``threads=``, ``--threads``, SUMREP_THREADS) is still accepted and
-validated, so existing callers and scripts keep working, but it selects
+thread pool only slows down under the interpreter lock.  The CLI still
+accepts the cap (``--threads``, SUMREP_THREADS) and validates it once
+before any command runs, so existing scripts keep working, but it selects
 nothing.
 """
 

@@ -11,7 +11,9 @@ hand.  The three theorem harnesses (T1, T2, T3) share one skeleton:
      element's h-fold sum has enough distinct non-diagonal top summands,
      all landing in the next block (witness certificates);
   4. check the counting function against the theorem's logarithmic lower
-     bound at every step point up to x_max.
+     bound at every step point up to x_max.  The bound is held as integers
+     (h, coef, den, num), so A(x) >= bound(x) is decided exactly as
+     den*A(x) + num >= ceil(log_h(x**coef)); floats are only reported.
 
 T3 additionally requires the set to be B_{h-1,s}; its premise is checked
 with h-fold counts and its per-block requirement via the pigeonhole
@@ -36,11 +38,8 @@ from .errors import (
 )
 from .intset import IntegerSet, block_of, blocks, counting, from_values
 from .repcount import RepTable, _sweep, rep_table
-from .runtime import resolve_thread_cap
 
-SLACK = 1e-9  # absolute slack on strict comparisons against float bounds
-
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 THEOREM_IDS = ("T1", "T2", "T3")
 
@@ -491,7 +490,6 @@ def block_growth_check(
     k0: int,
     mode: Mode = Mode.complete(),
     premise: PremiseReport | None = None,
-    threads: int | None = None,
 ) -> BlockGrowthResult:
     """Per-block size requirements with propagation certificates.
 
@@ -525,7 +523,6 @@ def block_growth_check(
         )
 
     requirement = _block_requirement(ell, s)
-    resolve_thread_cap(threads)
 
     entries = []
     for k in range(k0, k_max + 2):
@@ -613,29 +610,53 @@ def _normalize_params(
     return h, ell, s
 
 
-def w0_value(theorem_id: str, h: int, ell: int, s: int | None, k0: int) -> Fraction:
-    """The bound offset: T1: k0; T2: (ell-1)(k0+1); T3: (ell-1)(k0+1)/s."""
+def _bound_terms(
+    theorem_id: str, h: int | None, ell: int | None, s: int | None, k0: int
+) -> tuple[int, int, int, int]:
+    """(h, coef, den, num) of the conclusion A(x) >= (coef*log_h(x) - num)/den:
+    T1 (h, 1, 1, k0), T2 (2, ell-1, 1, (ell-1)(k0+1)), T3 (h, ell-1, s,
+    (ell-1)(k0+1)).  s*w0 is always an integer, so no fraction is needed."""
     h, ell, s = _normalize_params(theorem_id, h, ell, s)
     if theorem_id == "T1":
-        return Fraction(k0)
-    if theorem_id == "T2":
-        return Fraction((ell - 1) * (k0 + 1))
-    return Fraction((ell - 1) * (k0 + 1), s)
+        return h, 1, 1, k0
+    return h, ell - 1, s if theorem_id == "T3" else 1, (ell - 1) * (k0 + 1)
+
+
+def _bound_holds(terms: tuple[int, int, int, int], count: int, x: int) -> bool:
+    """Exactly A(x) >= bound(x) for A(x) = count: den*count + num >= e, the
+    least e with h**e >= x**coef.  A float estimate of e is corrected with
+    exact powers of h up to x**coef, never one that contains the count."""
+    h, coef, den, num = terms
+    target = x**coef
+    e = int(math.log(target, h))
+    power = h**e
+    while power < target:
+        e, power = e + 1, power * h
+    while e and power // h >= target:
+        e, power = e - 1, power // h
+    return den * count + num >= e
+
+
+def _bound_float(terms: tuple[int, int, int, int], x: int) -> float:
+    h, coef, den, num = terms
+    return coef * math.log(x) / (den * math.log(h)) - num / den
+
+
+def w0_value(theorem_id: str, h: int, ell: int, s: int | None, k0: int) -> Fraction:
+    """The bound offset: T1: k0; T2: (ell-1)(k0+1); T3: (ell-1)(k0+1)/s."""
+    _, _, den, num = _bound_terms(theorem_id, h, ell, s, k0)
+    return Fraction(num, den)
 
 
 def bound_value(
     theorem_id: str, h: int, ell: int, s: int | None, k0: int, x: int
 ) -> float:
-    """The logarithmic lower-bound value at x (double precision)."""
-    h, ell, s = _normalize_params(theorem_id, h, ell, s)
-    if x < h:
+    """The logarithmic lower-bound value at x (double precision, reported
+    only; verdicts come from the exact comparison)."""
+    terms = _bound_terms(theorem_id, h, ell, s, k0)
+    if x < terms[0]:
         raise ParameterError(f"bound defined only for x >= h, got x={x}")
-    w0 = float(w0_value(theorem_id, h, ell, s, k0))
-    if theorem_id == "T1":
-        return math.log(x) / math.log(h) - w0
-    if theorem_id == "T2":
-        return (ell - 1) * math.log(x) / math.log(2) - w0
-    return (ell - 1) * math.log(x) / (s * math.log(h)) - w0
+    return _bound_float(terms, x)
 
 
 @dataclass(frozen=True)
@@ -644,7 +665,7 @@ class BoundCheck:
     count: int
     bound: float
     margin: float
-    status: str  # pass | marginal | fail
+    status: str  # pass | fail
 
     def to_dict(self) -> dict:
         return {
@@ -660,7 +681,6 @@ class BoundCheck:
 class BoundResult:
     x_max: int
     exhaustive: bool
-    slack: float
     checks: tuple[BoundCheck, ...]
     all_ok: bool
 
@@ -668,7 +688,6 @@ class BoundResult:
         return {
             "x_max": self.x_max,
             "exhaustive": self.exhaustive,
-            "slack": self.slack,
             "checks": [c.to_dict() for c in self.checks],
             "all_ok": self.all_ok,
         }
@@ -694,37 +713,29 @@ def verify_counting_bound(
     k0: int,
     x_max: int,
     exhaustive: bool = False,
-    threads: int | None = None,
 ) -> BoundResult:
-    """Check A(x) > bound(x) for every integer x in [h, x_max].
+    """Check A(x) >= bound(x) for every integer x in [h, x_max].
 
     The default checks only the candidate set; ``exhaustive=True`` checks
-    every integer (their equivalence is itself a tested property).  Margins
-    within the float slack are flagged marginal, not failed.
+    every integer (their equivalence is itself a tested property).  Each
+    status is the exact integer comparison; bound and margin are the
+    double-precision values, reported only.
     """
-    h, ell, s = _normalize_params(theorem_id, h, ell, s)
+    terms = _bound_terms(theorem_id, h, ell, s, k0)
+    h = terms[0]
     if x_max < h:
         raise WindowError(f"x_max={x_max} below x >= h = {h}")
-    xs = list(range(h, x_max + 1)) if exhaustive else _bound_candidates(A, h, x_max)
-    resolve_thread_cap(threads)
-
-    def check(x: int) -> BoundCheck:
+    xs = range(h, x_max + 1) if exhaustive else _bound_candidates(A, h, x_max)
+    checks = []
+    for x in xs:
         count = counting(A, x)
-        bound = bound_value(theorem_id, h, ell, s, k0, x)
-        margin = count - bound
-        if margin > SLACK:
-            status = "pass"
-        elif margin >= -SLACK:
-            status = "marginal"
-        else:
-            status = "fail"
-        return BoundCheck(x=x, count=count, bound=bound, margin=margin, status=status)
-
-    checks = tuple(check(x) for x in xs)
-    all_ok = all(c.status != "fail" for c in checks)
-    return BoundResult(
-        x_max=x_max, exhaustive=exhaustive, slack=SLACK, checks=checks, all_ok=all_ok
-    )
+        bound = _bound_float(terms, x)
+        status = "pass" if _bound_holds(terms, count, x) else "fail"
+        checks.append(
+            BoundCheck(x=x, count=count, bound=bound, margin=count - bound, status=status)
+        )
+    all_ok = all(c.status == "pass" for c in checks)
+    return BoundResult(x_max=x_max, exhaustive=exhaustive, checks=tuple(checks), all_ok=all_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +744,8 @@ def verify_counting_bound(
 
 @dataclass(frozen=True)
 class PowerCheck:
-    """The step-count inequality A(h^t) >= per-theorem block total."""
+    """The step-count inequality A(h^t) >= bound(h^(t+1)): the conclusion
+    on all of [h^t, h^(t+1)) with A read at the left end."""
 
     t: int
     power: int
@@ -750,14 +762,6 @@ class PowerCheck:
             "required_float": float(self.required),
             "ok": self.ok,
         }
-
-
-def _power_requirement(theorem_id: str, ell: int, s: int | None, k0: int, t: int) -> Fraction:
-    if theorem_id == "T1":
-        return Fraction(t - (k0 - 1))
-    if theorem_id == "T2":
-        return Fraction((ell - 1) * (t - k0))
-    return Fraction((ell - 1) * (t - k0), s)
 
 
 @dataclass(frozen=True)
@@ -836,7 +840,6 @@ def run_theorem(
     s: int | None = None,
     mode: Mode = Mode.complete(),
     x_max: int | None = None,
-    threads: int | None = None,
 ) -> TheoremReport:
     """End-to-end harness: premise, anchor, block growth, counting bounds.
 
@@ -846,7 +849,6 @@ def run_theorem(
     with h-fold counts.
     """
     h, ell, s = _normalize_params(theorem_id, h, ell, s)
-    resolve_thread_cap(threads)
     bound = mode.exactness_bound(A, h)
 
     failures: list[str] = []
@@ -871,9 +873,7 @@ def run_theorem(
     powers: tuple[PowerCheck, ...] = ()
     effective_x_max = None
     if k0 is not None:
-        growth = block_growth_check(
-            A, h, ell, s, k0, mode, premise=premise, threads=threads
-        )
+        growth = block_growth_check(A, h, ell, s, k0, mode, premise=premise)
         if not growth.ok:
             failures.append("blocks")
 
@@ -882,24 +882,22 @@ def run_theorem(
             default_max = bound if mode.kind == "prefix" else (A.max_element or 0)
             effective_x_max = default_max if default_max >= h else None
         if effective_x_max is not None:
-            bounds = verify_counting_bound(
-                A, theorem_id, h, ell, s, k0, effective_x_max, threads=threads
-            )
+            bounds = verify_counting_bound(A, theorem_id, h, ell, s, k0, effective_x_max)
             if not bounds.all_ok:
                 failures.append("bounds")
 
+            _, coef, den, num = terms = _bound_terms(theorem_id, h, ell, s, k0)
             checks = []
             t, power = 1, h
             while power <= effective_x_max:
-                required = _power_requirement(theorem_id, ell, s, k0, t)
                 count = counting(A, power)
                 checks.append(
                     PowerCheck(
                         t=t,
                         power=power,
                         count=count,
-                        required=required,
-                        ok=Fraction(count) >= required,
+                        required=Fraction(coef * (t + 1) - num, den),
+                        ok=_bound_holds(terms, count, power * h),
                     )
                 )
                 t, power = t + 1, power * h

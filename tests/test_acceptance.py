@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from sumrep.cli import main
 from sumrep.construct import density_report, greedy_repair
 from sumrep.intset import blocks, counting, from_values
 from sumrep.repcount import rep_count, rep_count_naive, rep_table
@@ -231,15 +232,22 @@ def test_c09_constructor_soundness():
     )
 
 
-def test_c10_thread_cap_determinism():
-    tables = {
-        rep_table(RANGE50, 2, prefix_bound=50, threads=cap).csv_text()
-        for cap in (1, 2, 8)
-    }
+def test_c10_thread_cap_determinism(monkeypatch, capsys, tmp_path):
+    tables = {rep_table(RANGE50, 2, prefix_bound=50).csv_text() for _ in range(3)}
     reports = {
-        run_theorem(RANGE50, "T1", h=2, mode=Mode.prefix(50), threads=cap).to_json()
-        for cap in (1, 2, 8)
+        run_theorem(RANGE50, "T1", h=2, mode=Mode.prefix(50)).to_json() for _ in range(3)
     }
+    set_file = tmp_path / "range50.txt"
+    set_file.write_text("".join(f"{a}\n" for a in RANGE50))
+    argv = ["theorem", "--id", "T1", "--h", "2", "--mode", "prefix:50",
+            "--set", str(set_file), "--format", "json", "--no-meta"]
+    outputs = set()
+    for cap in ("1", "2", "8"):
+        monkeypatch.setenv("SUMREP_THREADS", cap)
+        assert main(argv) == 0
+        outputs.add(capsys.readouterr().out)
     assert len(tables) == 1
     assert len(reports) == 1
-    _verdict(10, True, "rep_table and run_theorem byte-identical under thread caps 1, 2, 8")
+    assert len(outputs) == 1
+    _verdict(10, True, "rep_table and run_theorem byte-identical across runs; "
+                       "CLI theorem output byte-identical under SUMREP_THREADS 1, 2, 8")

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from sumrep import cli
 from sumrep.cli import main
 
 
@@ -213,3 +214,22 @@ class TestErrors:
         code, _, err = run(capsys, "rep", "--h", "2", "--window", "0:6",
                            "--set", s123)
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["sumset", "blocks", "bhs", "premise", "theorem"])
+    def test_thread_cap_validated_for_every_command(self, capsys, s123, command):
+        extra = {"sumset": ["--h", "2"], "blocks": ["--h", "2"],
+                 "bhs": ["--h", "2", "--s", "1"], "premise": ["--h", "2", "--ell", "2"],
+                 "theorem": ["--id", "T1"]}[command]
+        code, out, err = run(capsys, command, *extra, "--set", s123, "--threads", "0")
+        assert code == 2
+        assert out == "" and "thread cap" in err
+
+    @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+    def test_internal_error_exit_three(self, capsys, s123, monkeypatch, exc):
+        def boom(args):
+            raise exc("simulated")
+
+        monkeypatch.setitem(cli._COMMANDS, "sumset", boom)
+        code, _, err = run(capsys, "sumset", "--h", "2", "--set", s123)
+        assert code == 3
+        assert exc.__name__ in err and "internal error" in err

@@ -124,6 +124,26 @@ class TestDensityReport:
         assert report.theorem_id == "T2"
         assert report.rows[-1].count > report.rows[-1].lower_bound
 
+    @staticmethod
+    def _hand_log(last_count: int) -> ConstructionLog:
+        # k0 = 1 (n0 = 2, a0 = 1), so the T1 bound at x = 16 is 4 - 1 = 3
+        return ConstructionLog(
+            target_ell=2, horizon=16, strategy="smallest-new",
+            seed_set=from_values([0, 1]), additions=(), failures=(), watermark=8,
+            final_set=from_values([0, 1, 2, 3, 5, 9]), certified=True, n0=2,
+            checked_count=7, density_curve=((1, 1), (2, 2), (4, 3), (8, 3), (16, last_count)),
+        )
+
+    def test_bound_equality_passes(self):
+        report = density_report(self._hand_log(3))
+        assert report.k0 == 1
+        last = report.rows[-1]
+        assert (last.x, last.count, last.lower_bound) == (16, 3, 3.0)
+
+    def test_bound_violation_raises(self):
+        with pytest.raises(CertificateError, match="x=16"):
+            density_report(self._hand_log(2))
+
     def test_requires_certified_log(self):
         log = greedy_repair(2, 2)
         with pytest.raises(ParameterError, match="certified"):

@@ -158,14 +158,6 @@ class TestRepTable:
         assert lines[1] == "n,count"
         assert lines[2:] == ["2,1", "3,1", "4,2"]
 
-    def test_thread_cap_never_changes_bytes(self):
-        A = from_values(range(51))
-        texts = {
-            rep_table(A, 2, prefix_bound=50, threads=cap).csv_text()
-            for cap in (1, 2, 8)
-        }
-        assert len(texts) == 1
-
     @given(st.frozensets(st.integers(0, 60), min_size=1, max_size=10), st.integers(2, 5))
     def test_total_is_multiset_count(self, values, h):
         A = from_values(values)
