@@ -30,12 +30,6 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _meta(args) -> dict | None:
-    if args.no_meta:
-        return None
-    return {"timestamp": datetime.now(timezone.utc).isoformat()}
-
-
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -45,9 +39,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, doc: dict) -> None:
-    meta = _meta(args)
-    if meta:
-        doc["meta"] = meta
+    if not args.no_meta:
+        doc["meta"] = {"timestamp": datetime.now(timezone.utc).isoformat()}
     _emit(args, json.dumps(doc, indent=2))
 
 
@@ -252,8 +245,7 @@ def _cmd_theorem(args) -> int:
         A, args.theorem_id, h=args.h, ell=args.ell, s=args.s, mode=mode, x_max=args.x_max
     )
     if args.format == "json":
-        meta = _meta(args)
-        _emit(args, report.to_json(meta=meta))
+        _emit_json(args, report.to_dict())
     elif args.format == "csv":
         _emit(args, report.bound_csv())
     else:

@@ -17,6 +17,7 @@ construction's incremental bookkeeping is never trusted for the verdict.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,9 @@ from .errors import CertificateError, ParameterError
 from .intset import IntegerSet, counting, from_values
 from .verify import Mode, _bound_float, _bound_holds, _bound_terms, check_premise, compute_k0
 
-STRATEGIES = ("smallest-new", "largest-new", "balanced")
+# whether each successive repair takes the smallest new element
+_SIDES = {"smallest-new": (True,), "largest-new": (False,), "balanced": (True, False)}
+STRATEGIES = tuple(_SIDES)
 
 
 @dataclass(frozen=True)
@@ -66,11 +69,8 @@ class ConstructionLog:
             "density_curve": [list(p) for p in self.density_curve],
         }
 
-    def to_json(self, meta: dict | None = None) -> str:
-        doc = self.to_dict()
-        if meta:
-            doc["meta"] = meta
-        return json.dumps(doc, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConstructionLog":
@@ -127,11 +127,13 @@ def greedy_repair(
 
       * ``smallest-new``: least such e (partner just below n/2);
       * ``largest-new``: greatest such e (partner near 0, e close to n);
-      * ``balanced``: alternate between the two choices per insertion.
+      * ``balanced``: alternate between the two choices per repair attempt.
 
     Sums whose repair candidates run out are logged as failures and left to
     the certification threshold.  The returned log is certified when the
-    independent premise re-check passes on [n0, W].
+    independent premise re-check passes on [n0, W] and checks at least one
+    sum there.  Every element is <= W, so the set's numpy mirror and the
+    pair counts take (W + 1) + (2W + 1) int64 cells, about 12*horizon bytes.
     """
     if ell < 2:
         raise ParameterError(f"ell must be >= 2, got {ell}")
@@ -147,20 +149,15 @@ def greedy_repair(
         )
 
     watermark = horizon // 2
-    members = set(seed.elements)
-    ordered = list(seed.elements)
-    counts = np.zeros(2 * horizon + 1, dtype=np.int64)
-    for i, a in enumerate(seed.elements):
-        for b in seed.elements[i:]:
-            counts[a + b] += 1
-
-    buf = np.empty(max(1024, 2 * len(ordered)), dtype=np.int64)
-    buf[: len(ordered)] = ordered
-    size = len(ordered)
-
+    # Every element is <= W (the seed by the horizon check, a repair
+    # n - a with n <= W), so W + 1 slots hold the set and sums stay <= 2W.
+    members: set[int] = set()
+    ordered: list[int] = []
+    buf = np.empty(watermark + 1, dtype=np.int64)
+    counts = np.zeros(2 * watermark + 1, dtype=np.int64)
     additions: list[tuple[int, int]] = []
     failures: list[tuple[int, int]] = []
-    pick_toggle = 0
+    sides = itertools.cycle(_SIDES[strategy])
 
     def candidate(n: int, want_small_e: bool) -> int | None:
         """Partner-constrained new element for n, or None when exhausted.
@@ -179,39 +176,30 @@ def greedy_repair(
                 return n - a
         return None
 
-    def insert(e: int, trigger: int) -> None:
-        nonlocal buf, size
-        counts[buf[:size] + e] += 1
-        counts[2 * e] += 1
-        if size == len(buf):
-            grown = np.empty(2 * len(buf), dtype=np.int64)
-            grown[:size] = buf
-            buf = grown
+    def insert(e: int) -> None:
+        size = len(ordered)
         buf[size] = e
-        size += 1
+        counts[buf[: size + 1] + e] += 1
         members.add(e)
         insort(ordered, e)
-        additions.append((e, trigger))
 
+    for a in seed.elements:
+        insert(a)
     for n in range(0, watermark + 1):
         if counts[n] == 0:
             continue
         while counts[n] < ell:
-            if strategy == "smallest-new":
-                e = candidate(n, want_small_e=True)
-            elif strategy == "largest-new":
-                e = candidate(n, want_small_e=False)
-            else:
-                e = candidate(n, want_small_e=(pick_toggle % 2 == 0))
-                pick_toggle += 1
+            e = candidate(n, next(sides))
             if e is None:
                 failures.append((n, int(counts[n])))
                 break
-            insert(e, n)
+            insert(e)
+            additions.append((e, n))
 
     final = from_values(ordered)
     report = check_premise(final, 2, ell, None, Mode.prefix(watermark))
-    certified = report.holds
+    # a premise that checked no sum certifies nothing
+    certified = report.holds and report.checked_count > 0
     n0 = report.n0 if certified else None
     checked = report.checked_count if certified else 0
 

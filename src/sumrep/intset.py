@@ -97,10 +97,6 @@ class BlockDecomposition:
     def block_sizes(self) -> dict[int, int]:
         return {k: len(members) for k, members in self.entries}
 
-    @property
-    def max_nonempty_k(self) -> int | None:
-        return self.entries[-1][0] if self.entries else None
-
 
 def from_values(values: Iterable[int]) -> IntegerSet:
     """Canonicalize an arbitrary finite iterable of nonnegative integers.

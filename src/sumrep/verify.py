@@ -37,7 +37,7 @@ from .errors import (
     WindowError,
 )
 from .intset import IntegerSet, block_of, blocks, counting, from_values
-from .repcount import RepTable, _sweep, rep_table
+from .repcount import _sweep, rep_table
 
 SCHEMA_VERSION = 2
 
@@ -97,13 +97,6 @@ class Mode:
         return h * A.max_element if A.elements else 0
 
 
-def _window_table(A: IntegerSet, h: int, bound: int) -> RepTable:
-    """Counts on [0, min(bound, h*max(A))], annotated with the bound."""
-    full = h * A.max_element if A.elements else 0
-    hi = min(bound, full)
-    return rep_table(A, h, window=(0, hi), prefix_bound=bound)
-
-
 # ---------------------------------------------------------------------------
 # B_{h,s} and premise checks
 
@@ -144,7 +137,7 @@ def is_bhs(A: IntegerSet, h: int, s: int, mode: Mode = Mode.complete()) -> BhsRe
     if s < 1:
         raise ParameterError(f"s must be >= 1, got {s}")
     bound = mode.exactness_bound(A, h)
-    table = _window_table(A, h, bound)
+    table = rep_table(A, h, window=(0, bound), prefix_bound=bound)
     violations = tuple((n, c) for n, c in table.items() if c > s)
     checked = sum(1 for _, c in table.items() if c >= 1)
     return BhsReport(
@@ -200,7 +193,7 @@ def check_premise(
     if n0 is not None and n0 < 0:
         raise ParameterError(f"n0 must be >= 0, got {n0}")
     bound = mode.exactness_bound(A, h)
-    table = _window_table(A, h, bound)
+    table = rep_table(A, h, window=(0, bound), prefix_bound=bound)
     if n0 is None:
         # just past the last short sum, unless that is the window's top
         short = [n for n, c in table.items() if 1 <= c < ell]
@@ -326,20 +319,38 @@ def _lex_completion(
     return dfs(0, size, total, True)
 
 
+def _witness(A: IntegerSet, h: int, k: int, a_star: int, top: int) -> Witness:
+    """The re-validated witness for block k with the given distinct top of
+    h*a_star: the top's lexicographically least completion.  A distinct top
+    always has a completion, and excluding the all-top tuple keeps it
+    non-diagonal."""
+    target = h * a_star
+    rep = _lex_completion(A, top, h - 1, target - top, forbid_all_limit=(h * top == target))
+    witness = Witness(
+        k=k,
+        a_star=a_star,
+        target=target,
+        representation=rep + (top,),
+        top_element=top,
+        top_block=block_of(top, h),
+    )
+    witness.validate(A, h)
+    return witness
+
+
 def witness_certificate(
     A: IntegerSet, h: int, k: int, mode: Mode = Mode.complete()
 ) -> Witness:
     """Produce and re-validate a witness for block k: a non-diagonal
     representation of h*a_k* whose top summand lies in block k+1.
 
-    Deterministic: smallest qualifying top, then lexicographically least
-    completion.  Failure to find one falsifies the premise at n = h*a_k*
-    (or indicates the window was misused).
+    Deterministic: the least of ``distinct_tops(A, h, h*a_k*)``, then its
+    lexicographically least completion.  No distinct top falsifies the
+    premise at n = h*a_k* (or indicates the window was misused).
     """
     if h < 2:
         raise ParameterError(f"h must be >= 2, got {h}")
-    decomposition = blocks(A, h)
-    members = decomposition.block(k)
+    members = blocks(A, h).block(k)
     if not members:
         raise CertificateError(f"block k={k} is empty")
     a_star = members.max_element
@@ -349,31 +360,13 @@ def witness_certificate(
         raise WindowError(
             f"h*a_k* = {target} exceeds the exactness bound {bound}; block {k} unverifiable"
         )
-    lo_top = -(-target // h)  # top of any representation is >= target/h
-    start = bisect_left(A.elements, lo_top)
-    for b in A.elements[start:]:
-        if b > target:
-            break
-        completion = _lex_completion(A, b, h - 1, target - b, forbid_all_limit=(h * b == target))
-        if completion is None:
-            continue
-        rep = completion + (b,)
-        if rep[0] == rep[-1]:
-            continue
-        witness = Witness(
-            k=k,
-            a_star=a_star,
-            target=target,
-            representation=rep,
-            top_element=b,
-            top_block=block_of(b, h),
+    tops = distinct_tops(A, h, target, mode)
+    if not tops:
+        raise CertificateError(
+            f"no non-diagonal representation of {target} = {h}*a_{k}*; "
+            f"premise fails at n={target} or window misused"
         )
-        witness.validate(A, h)
-        return witness
-    raise CertificateError(
-        f"no non-diagonal representation of {target} = {h}*a_{k}*; "
-        f"premise fails at n={target} or window misused"
-    )
+    return _witness(A, h, k, a_star, tops.elements[0])
 
 
 def distinct_tops(
@@ -498,6 +491,9 @@ def block_growth_check(
     force).  K_max is the largest k whose target h*a_k* stays inside the
     exactness window; the row at K_max+1 is certified by K_max's tops, and
     nonempty blocks beyond that are reported unverifiable, never failed.
+    Each in-window row's witness is read off its distinct tops (the least
+    top and its lexicographically least completion), so it is the one
+    ``witness_certificate`` returns, without a second search.
     """
     if ell < 2:
         raise ParameterError(f"ell must be >= 2, got {ell}")
@@ -530,23 +526,13 @@ def block_growth_check(
         required = 1 if k == k0 else requirement
         a_star = maxima.get(k)
         in_window = a_star is not None and h * a_star <= bound
-        witness, tops = None, None
-        if in_window:
-            try:
-                witness = witness_certificate(A, h, k, mode)
-            except CertificateError:
-                pass
-            tops = tuple(distinct_tops(A, h, h * a_star, mode))
-        tops_ok: bool | None = None
-        tops_required = None
-        if in_window and k <= k_max:
+        witness = tops = tops_required = tops_ok = None
+        if in_window:  # so k <= k_max
+            tops = distinct_tops(A, h, h * a_star, mode).elements
+            if tops:
+                witness = _witness(A, h, k, a_star, tops[0])
             tops_required = requirement
-            next_ok = (
-                witness is not None
-                and len(tops or ()) >= requirement
-                and all(block_of(b, h) == k + 1 for b in tops or ())
-            )
-            tops_ok = next_ok
+            tops_ok = len(tops) >= requirement and all(block_of(b, h) == k + 1 for b in tops)
         entries.append(
             BlockCheck(
                 k=k,
@@ -817,11 +803,8 @@ class TheoremReport:
             "first_failure": self.first_failure,
         }
 
-    def to_json(self, meta: dict | None = None) -> str:
-        doc = self.to_dict()
-        if meta:
-            doc["meta"] = meta
-        return json.dumps(doc, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def bound_csv(self) -> str:
         out = io.StringIO()

@@ -164,6 +164,19 @@ class TestOtherCommands:
         assert code == 0
         assert out.splitlines()[0] == "x,Ax,lower_bound,log_sq_ref"
 
+    def test_vacuous_construct_not_certified(self, capsys, tmp_path):
+        # seed {0} at T=3: W=1 and no sum in [n0, W] = [1, 1] is checked
+        seed = tmp_path / "seed.txt"
+        seed.write_text("0\n")
+        log_path = str(tmp_path / "log.json")
+        code, out, _ = run(capsys, "construct", "--ell", "2", "--T", "3",
+                           "--seed-set", str(seed), "--log-out", log_path)
+        assert code == 1
+        assert "certified: no" in out
+        code, _, err = run(capsys, "density", "--log", log_path)
+        assert code == 2
+        assert "requires a certified construction log" in err
+
     def test_selftest(self, capsys):
         code, out, _ = run(capsys, "selftest", "--trials", "4", "--seed", "7")
         assert code == 0

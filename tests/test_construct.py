@@ -84,6 +84,38 @@ class TestGreedyRepair:
         t2 = run_theorem(log3.final_set, "T2", ell=3, mode=Mode.prefix(log3.watermark))
         assert t2.verdict
 
+    @pytest.mark.parametrize("seed, horizon", [([0], 3), ([3, 4], 8)])
+    def test_vacuous_premise_not_certified(self, seed, horizon):
+        # no sum in [n0, W] is in 2A, so the re-check passes without checking any
+        log = greedy_repair(2, horizon, "smallest-new", from_values(seed))
+        report = check_premise(log.final_set, 2, 2, None, Mode.prefix(log.watermark))
+        assert report.holds and report.checked_count == 0
+        assert not log.certified
+        assert (log.n0, log.checked_count) == (None, 0)
+
+    @pytest.mark.parametrize("horizon", [60, 61])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_seed_fills_every_slot_up_to_watermark(self, strategy, horizon):
+        # W = 30 for both horizons: the seed is all of [0, W], W + 1 elements
+        log = greedy_repair(2, horizon, strategy, from_values(range(31)))
+        assert log.watermark == 30
+        assert log.additions == ()
+        assert log.failures == ((0, 1), (1, 1))
+        assert log.final_set == from_values(range(31))
+        assert log.certified and log.n0 == 2
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_odd_horizon_at_twice_seed_max(self, strategy, ell):
+        # T = 2*max(seed) + 1 has the same W = max(seed) as T = 2*max(seed)
+        seed = from_values([0, 1, 2, 9])
+        odd = greedy_repair(ell, 19, strategy, seed)
+        even = greedy_repair(ell, 18, strategy, seed)
+        assert odd.watermark == even.watermark == 9
+        assert (odd.additions, odd.failures, odd.final_set) == (
+            even.additions, even.failures, even.final_set)
+        assert max(odd.final_set) <= odd.watermark
+
     def test_precondition_errors(self):
         with pytest.raises(ParameterError):
             greedy_repair(1, 100)

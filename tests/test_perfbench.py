@@ -24,9 +24,19 @@ def test_selfcheck_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_certify_dense_pass_is_correct():
-    proc = _run("perfbench/run.py", "--workload", "certify-dense", "--seed", "0",
+def _assert_pass_correct(workload: str) -> None:
+    """One untraced pass of the workload; every operation matches the reference."""
+    proc = _run("perfbench/run.py", "--workload", workload, "--seed", "0",
                 "--seconds", "0", "--trace", "0")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout
+
+
+def test_certify_dense_pass_is_correct():
+    _assert_pass_correct("certify-dense")
+
+
+def test_certify_sparse_pass_is_correct():
+    # theorem, premise and sumset at h=2, plus construct and density
+    _assert_pass_correct("certify-sparse")

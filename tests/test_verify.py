@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,31 @@ class TestWitnessCertificate:
             w = witness_certificate(A, h, k, mode)
             w.validate(A, h)
             assert w.top_block == k + 1
+
+    @settings(max_examples=150)
+    @given(st.sets(st.integers(0, 40), min_size=1, max_size=10), st.integers(2, 4))
+    def test_least_top_and_completion_oracle(self, values, h):
+        A = from_values(values)
+        decomposition = blocks(A, h)
+        if not len(decomposition):
+            return
+        # complete mode: every block's target is in the window, so each has a row
+        growth = block_growth_check(A, h, 2, None, decomposition.entries[0][0])
+        rows = {e.k: e for e in growth.entries}
+        for k, members in decomposition:
+            target = h * members.max_element
+            reps = [t for t in combinations_with_replacement(sorted(values), h)
+                    if sum(t) == target and t[0] < t[-1]]
+            if not reps:
+                with pytest.raises(CertificateError, match="no non-diagonal"):
+                    witness_certificate(A, h, k)
+                assert rows[k].witness is None
+                continue
+            w = witness_certificate(A, h, k)
+            top = min(t[-1] for t in reps)
+            assert w.top_element == top
+            assert w.representation == min(t for t in reps if t[-1] == top)
+            assert rows[k].witness == w
 
 
 class TestDistinctTops:
