@@ -6,6 +6,11 @@ certifies each run, and writes per-run density CSVs plus a summary table
 comparing A(T) against the guaranteed logarithmic lower bound and the
 (log T)^2 reference curve.
 
+Only ``balanced`` tells much about density.  With W = T/2 and ell = 2,
+``smallest-new`` ends at {0, ..., W/2 + 1} and ``largest-new`` at
+{0, 1, 2} and the odd numbers up to W; for every ell both keep about W/2
+elements, so their ratio to (log T)^2 only reflects A(T) ~ T/4.
+
 Usage: python scripts/run_density_experiment.py [--T 100000] [--out-dir results]
 """
 

@@ -7,9 +7,10 @@ reaches ell.  Repair partners a are restricted to a <= n/2, so every
 inserted element is >= n/2.  Only sums up to the watermark W = floor(T/2)
 of a run with horizon T are repaired.  Counts only grow, so a repaired sum
 stays repaired; a sum the scan passed with no representation can gain its
-first one from a later insertion and is not revisited.
+first one from a later insertion, so the scan is followed by repair passes
+over the short sums until one finds none.
 
-After the scan the result is re-certified from scratch through the
+After the repairs the result is re-certified from scratch through the
 verification layer (least threshold + premise check on [n0, W]); the
 construction's incremental bookkeeping is never trusted for the verdict.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, ParameterError
-from .intset import IntegerSet, counting, from_values
+from .intset import IntegerSet, counting, ensure_memory, from_values
 from .verify import Mode, _bound_float, _bound_holds, _bound_terms, check_premise, compute_k0
 
 # whether each successive repair takes the smallest new element
@@ -122,18 +123,20 @@ def greedy_repair(
     """Grow a set so that every certified pair sum has >= ell representations.
 
     Deficient sums n <= W = floor(horizon/2) are repaired in increasing
-    order; a repair inserts the strategy's choice of e = n - a with a in A,
-    a <= n/2, e not yet in A:
+    order, first in one scan, then in passes over every sum with
+    0 < count < ell until a pass finds none; a repair inserts the strategy's
+    choice of e = n - a with a in A, a <= n/2, e not yet in A:
 
       * ``smallest-new``: least such e (partner just below n/2);
       * ``largest-new``: greatest such e (partner near 0, e close to n);
       * ``balanced``: alternate between the two choices per repair attempt.
 
-    Sums whose repair candidates run out are logged as failures and left to
-    the certification threshold.  The returned log is certified when the
-    independent premise re-check passes on [n0, W] and checks at least one
-    sum there.  Every element is <= W, so the set's numpy mirror and the
-    pair counts take (W + 1) + (2W + 1) int64 cells, about 12*horizon bytes.
+    Sums whose repair candidates run out are logged as failures, not
+    retried, and left to the certification threshold.  The returned log is
+    certified when the independent premise re-check passes on [n0, W] and
+    checks at least one sum there.  Every element is <= W, so the set's
+    numpy mirror and the pair counts take (W + 1) + (2W + 1) int64 cells,
+    about 12*horizon bytes.
     """
     if ell < 2:
         raise ParameterError(f"ell must be >= 2, got {ell}")
@@ -149,6 +152,7 @@ def greedy_repair(
         )
 
     watermark = horizon // 2
+    ensure_memory(12 * horizon, "greedy_repair")
     # Every element is <= W (the seed by the horizon check, a repair
     # n - a with n <= W), so W + 1 slots hold the set and sums stay <= 2W.
     members: set[int] = set()
@@ -183,18 +187,30 @@ def greedy_repair(
         members.add(e)
         insort(ordered, e)
 
-    for a in seed.elements:
-        insert(a)
-    for n in range(0, watermark + 1):
-        if counts[n] == 0:
-            continue
+    def repair(n: int) -> None:
         while counts[n] < ell:
             e = candidate(n, next(sides))
             if e is None:
                 failures.append((n, int(counts[n])))
-                break
+                return
             insert(e)
             additions.append((e, n))
+
+    for a in seed.elements:
+        insert(a)
+    for n in range(0, watermark + 1):
+        if counts[n]:
+            repair(n)
+    # a sum the scan passed at count 0 may have gained a short count since
+    while True:
+        failed = {n for n, _ in failures}
+        window = counts[: watermark + 1]
+        short = [n for n in np.flatnonzero((window > 0) & (window < ell)).tolist()
+                 if n not in failed]
+        if not short:
+            break
+        for n in short:
+            repair(n)
 
     final = from_values(ordered)
     report = check_premise(final, 2, ell, None, Mode.prefix(watermark))

@@ -167,6 +167,20 @@ def ensure_headroom(A: IntegerSet, h: int, operation: str) -> None:
         )
 
 
+def ensure_memory(nbytes: int, operation: str) -> None:
+    """Refuse, as bad input, an operation needing about nbytes of memory when
+    that exceeds physical memory, before anything is allocated."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare with
+        return
+    if nbytes > physical:
+        raise ParameterError(
+            f"{operation}: needs about {nbytes} bytes, more than the "
+            f"{physical} bytes of physical memory"
+        )
+
+
 def parse_set_text(text: str) -> IntegerSet:
     """Parse the plain-text set format: one integer per line, '#' comments."""
     values: list[int] = []

@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import CountOverflowError, ParameterError, WindowError
-from .intset import U64_MAX, IntegerSet, ensure_headroom, from_values
+from .intset import U64_MAX, IntegerSet, ensure_headroom, ensure_memory, from_values
 
 
 def rep_count_naive(A: IntegerSet, h: int, n: int) -> int:
@@ -117,7 +117,9 @@ def _sweep(
     """
     stop = bisect_right(elements, hi)
     least = elements[0] if stop else 0
-    rows = [np.zeros(max(0, hi - (h - j) * least + 1), dtype=np.uint64) for j in range(h + 1)]
+    sizes = [max(0, hi - (h - j) * least + 1) for j in range(h + 1)]
+    ensure_memory(sum(sizes) * np.dtype(np.uint64).itemsize, f"the {h}-fold sweep to {hi}")
+    rows = [np.zeros(size, dtype=np.uint64) for size in sizes]
     if rows[0].size:
         rows[0][0] = 1
     checked = math.comb(stop + h - 1, h) > U64_MAX
@@ -224,8 +226,10 @@ def rep_table(
     if hi > full:
         hi, trimmed = full, True
     if lo > hi:
-        # window fell entirely above h*max(A)
-        lo, hi = full, full
+        raise WindowError(
+            f"window {window[0]}:{window[1]} lies outside [0, h*max(A)] = [0, {full}]; "
+            f"every count outside that range is 0"
+        )
     if prefix_bound is not None:
         if prefix_bound < 0:
             raise ParameterError(f"prefix bound must be >= 0, got {prefix_bound}")
@@ -267,6 +271,7 @@ def sumset(A: IntegerSet, h: int, cap: int | None = None) -> IntegerSet:
         return from_values([])
     ensure_headroom(A, h, "sumset")
     full = h * A.elements[-1]
+    ensure_memory(full // 8, "sumset")
     if cap is None:
         cap = full
     if cap < 0:

@@ -29,6 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     CertificateError,
@@ -39,7 +40,7 @@ from .errors import (
 from .intset import IntegerSet, block_of, blocks, counting, from_values
 from .repcount import _sweep, rep_table
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 THEOREM_IDS = ("T1", "T2", "T3")
 
@@ -455,13 +456,11 @@ class BlockCheck:
 class BlockGrowthResult:
     entries: tuple[BlockCheck, ...]
     k_max: int | None
-    vacuous: bool
     unverifiable: tuple[tuple[int, int], ...]  # (k, visible size) beyond the window
     ok: bool
 
     def to_dict(self) -> dict:
         return {
-            "vacuous": self.vacuous,
             "k_max": self.k_max,
             "entries": [e.to_dict() for e in self.entries],
             "unverifiable": [list(u) for u in self.unverifiable],
@@ -482,7 +481,6 @@ def block_growth_check(
     s: int | None,
     k0: int,
     mode: Mode = Mode.complete(),
-    premise: PremiseReport | None = None,
 ) -> BlockGrowthResult:
     """Per-block size requirements with propagation certificates.
 
@@ -499,10 +497,6 @@ def block_growth_check(
         raise ParameterError(f"ell must be >= 2, got {ell}")
     if s is not None and s < 1:
         raise ParameterError(f"s must be >= 1, got {s}")
-    if premise is not None and not premise.holds:
-        return BlockGrowthResult(
-            entries=(), k_max=None, vacuous=True, unverifiable=(), ok=True
-        )
     bound = mode.exactness_bound(A, h)
     decomposition = blocks(A, h)
     sizes = decomposition.block_sizes()
@@ -514,9 +508,7 @@ def block_growth_check(
             k_max = k
     if k_max is None:
         unverifiable = tuple((k, sizes[k]) for k in sorted(sizes) if k >= k0)
-        return BlockGrowthResult(
-            entries=(), k_max=None, vacuous=False, unverifiable=unverifiable, ok=True
-        )
+        return BlockGrowthResult(entries=(), k_max=None, unverifiable=unverifiable, ok=True)
 
     requirement = _block_requirement(ell, s)
 
@@ -532,7 +524,8 @@ def block_growth_check(
             if tops:
                 witness = _witness(A, h, k, a_star, tops[0])
             tops_required = requirement
-            tops_ok = len(tops) >= requirement and all(block_of(b, h) == k + 1 for b in tops)
+            # a top b of h*a_k* is in A with a_k* < b < h^(k+1), so in block k+1
+            tops_ok = len(tops) >= requirement
         entries.append(
             BlockCheck(
                 k=k,
@@ -555,7 +548,6 @@ def block_growth_check(
     return BlockGrowthResult(
         entries=tuple(entries),
         k_max=k_max,
-        vacuous=False,
         unverifiable=unverifiable,
         ok=ok,
     )
@@ -645,22 +637,22 @@ def bound_value(
     return _bound_float(terms, x)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
+    """A(x) = count against the bound at x: ``holds`` is the exact verdict,
+    ``bound`` the double-precision value, reported only."""
+
     x: int
     count: int
     bound: float
-    margin: float
-    status: str  # pass | fail
+    holds: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "count": self.count,
-            "bound": self.bound,
-            "margin": self.margin,
-            "status": self.status,
-        }
+    @property
+    def margin(self) -> float:
+        return self.count - self.bound
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.holds else "fail"
 
 
 @dataclass(frozen=True)
@@ -671,10 +663,18 @@ class BoundResult:
     all_ok: bool
 
     def to_dict(self) -> dict:
+        """The checks as one table: equal-length columns, row i in entry i."""
+        checks = self.checks
         return {
             "x_max": self.x_max,
             "exhaustive": self.exhaustive,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": {
+                "x": [c.x for c in checks],
+                "count": [c.count for c in checks],
+                "bound": [c.bound for c in checks],
+                "margin": [c.margin for c in checks],
+                "status": [c.status for c in checks],
+            },
             "all_ok": self.all_ok,
         }
 
@@ -715,12 +715,8 @@ def verify_counting_bound(
     checks = []
     for x in xs:
         count = counting(A, x)
-        bound = _bound_float(terms, x)
-        status = "pass" if _bound_holds(terms, count, x) else "fail"
-        checks.append(
-            BoundCheck(x=x, count=count, bound=bound, margin=count - bound, status=status)
-        )
-    all_ok = all(c.status == "pass" for c in checks)
+        checks.append(BoundCheck(x, count, _bound_float(terms, x), _bound_holds(terms, count, x)))
+    all_ok = all(c.holds for c in checks)
     return BoundResult(x_max=x_max, exhaustive=exhaustive, checks=tuple(checks), all_ok=all_ok)
 
 
@@ -856,7 +852,7 @@ def run_theorem(
     powers: tuple[PowerCheck, ...] = ()
     effective_x_max = None
     if k0 is not None:
-        growth = block_growth_check(A, h, ell, s, k0, mode, premise=premise)
+        growth = block_growth_check(A, h, ell, s, k0, mode)
         if not growth.ok:
             failures.append("blocks")
 
@@ -888,7 +884,6 @@ def run_theorem(
             if not all(p.ok for p in powers):
                 failures.append("powers")
 
-    verdict = premise.holds and not failures
     return TheoremReport(
         theorem_id=theorem_id,
         h=h,
@@ -905,6 +900,6 @@ def run_theorem(
         bound_checks=bounds,
         power_checks=powers,
         x_max=effective_x_max,
-        verdict=verdict,
+        verdict=not failures,
         first_failure=failures[0] if failures else None,
     )

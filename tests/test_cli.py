@@ -61,6 +61,11 @@ class TestRep:
                            "--mode", "prefix:50", "--set", range50)
         assert code == 0 and out.strip() == "r=26"
 
+    def test_window_above_the_sums_rejected(self, capsys, s123):
+        code, out, err = run(capsys, "rep", "--h", "2", "--window", "100:200", "--set", s123)
+        assert code == 2
+        assert out == "" and "every count outside that range is 0" in err
+
     def test_bad_window(self, capsys, s123):
         code, _, err = run(capsys, "rep", "--h", "2", "--window", "oops",
                            "--set", s123)
@@ -236,6 +241,22 @@ class TestErrors:
         code, out, err = run(capsys, command, *extra, "--set", s123, "--threads", "0")
         assert code == 2
         assert out == "" and "thread cap" in err
+
+    @pytest.mark.parametrize("command", [
+        ["bhs", "--h", "2", "--s", "1"],
+        ["premise", "--h", "2", "--ell", "2"],
+        ["theorem", "--id", "T1"],
+        ["rep", "--h", "2", "--window", f"0:{2**61}"],
+        ["sumset", "--h", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_allocation_past_physical_memory_is_an_input_error(self, capsys, tmp_path, command):
+        # {0, 2^60} has 2-fold sums up to 2^61: no table or bitmask for it fits
+        path = tmp_path / "huge.txt"
+        path.write_text(f"0\n{2**60}\n")
+        code, out, err = run(capsys, *command, "--set", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "needs about" in err
 
     @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
     def test_internal_error_exit_three(self, capsys, s123, monkeypatch, exc):

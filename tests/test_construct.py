@@ -2,7 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import multiset_sum_counts
 from sumrep.construct import (
     ConstructionLog,
     STRATEGIES,
@@ -115,6 +118,26 @@ class TestGreedyRepair:
         assert (odd.additions, odd.failures, odd.final_set) == (
             even.additions, even.failures, even.final_set)
         assert max(odd.final_set) <= odd.watermark
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(STRATEGIES),
+        st.integers(2, 4),
+        st.frozensets(st.integers(0, 30), min_size=1, max_size=5),
+        st.integers(0, 200),
+    )
+    def test_every_short_sum_is_a_logged_failure(self, strategy, ell, seed, extra):
+        """Repairs run to a fixed point: a sum below ell representations that
+        is not a logged failure would have been repaired."""
+        seed = from_values(seed)
+        log = greedy_repair(ell, 2 * seed.max_element + extra, strategy, seed)
+        counts = multiset_sum_counts(log.final_set, 2)
+        short = {n for n, c in counts.items() if n <= log.watermark and c < ell}
+        assert short <= {n for n, _ in log.failures}
+
+    def test_allocation_past_physical_memory_refused(self):
+        with pytest.raises(ParameterError, match="greedy_repair: needs about"):
+            greedy_repair(2, 2**62)
 
     def test_precondition_errors(self):
         with pytest.raises(ParameterError):

@@ -141,6 +141,18 @@ class TestRepTable:
         with pytest.raises(WindowError):
             rep_table(from_values([1, 2]), 2, window=(5, 3))
 
+    @pytest.mark.parametrize("window", [(5, 9), (100, 200), (-5, -1)])
+    def test_window_outside_the_sums_rejected(self, window):
+        with pytest.raises(WindowError, match=r"outside \[0, h\*max\(A\)\] = \[0, 4\]"):
+            rep_table(from_values([1, 2]), 2, window=window)
+
+    def test_table_past_physical_memory_refused(self):
+        # 2^61 + 1 cells per row: refused before any array is allocated
+        with pytest.raises(ParameterError, match="needs about"):
+            rep_table(from_values([0, 2**60]), 2)
+        with pytest.raises(ParameterError, match="sumset: needs about"):
+            sumset(from_values([0, 2**60]), 2)
+
     def test_count_outside_window(self):
         t = rep_table(from_values([1, 2]), 2, window=(2, 4))
         with pytest.raises(WindowError):

@@ -383,13 +383,6 @@ class TestBlockGrowthCheck:
             assert rows[k].size >= 2
         assert result.ok
 
-    def test_vacuous_when_premise_fails(self):
-        premise = check_premise(SIDON, 2, 2, 0, Mode.complete())
-        result = block_growth_check(SIDON, 2, 2, None, 1, Mode.complete(), premise=premise)
-        assert result.vacuous
-        assert result.entries == ()
-        assert result.ok
-
     def test_unverifiable_blocks_reported_not_failed(self):
         result = block_growth_check(RANGE50, 2, 2, None, 1, Mode.prefix(20))
         assert result.k_max == 3  # 2*a_3* = 14 <= 20 < 2*a_4* = 30
@@ -403,6 +396,16 @@ class TestBlockGrowthCheck:
         rows = {e.k: e for e in result.entries}
         assert not rows[3].size_ok
         assert not result.ok
+
+    @settings(max_examples=150)
+    @given(st.frozensets(st.integers(0, 60), min_size=1, max_size=12), st.integers(2, 4))
+    def test_every_distinct_top_lies_in_the_next_block(self, values, h):
+        """a_k* < b <= h*a_k* < h^(k+1) for a top b in A: the tops check needs
+        no block test of its own."""
+        A = from_values(values)
+        for k, members in blocks(A, h):
+            for b in distinct_tops(A, h, h * members.max_element):
+                assert block_of(b, h) == k + 1
 
 
 class TestRunTheorem:
@@ -469,7 +472,7 @@ class TestRunTheorem:
     def test_report_serialization(self):
         report = run_theorem(RANGE50, "T1", h=2, mode=Mode.prefix(50))
         doc = json.loads(report.to_json())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert "slack" not in doc["bounds"]
         assert doc["verdict"] == "pass"
         assert doc["n0"] == 2 and doc["k0"] == 1 and doc["w0"] == "1"
@@ -478,6 +481,20 @@ class TestRunTheorem:
         csv = report.bound_csv().splitlines()
         assert csv[0] == "x,Ax,bound"
         assert len(csv) == 1 + len(report.bound_checks.checks)
+
+    @pytest.mark.parametrize("result", [
+        run_theorem(RANGE50, "T1", h=2, mode=Mode.prefix(50)).bound_checks,
+        verify_counting_bound(from_values([1, 64]), "T1", 2, 2, None, 1, 64),
+    ], ids=["range50", "failing-1-64"])
+    def test_bounds_serialize_as_columns(self, result):
+        doc = json.loads(json.dumps(result.to_dict()))
+        table = doc["checks"]
+        assert list(table) == ["x", "count", "bound", "margin", "status"]
+        assert all(len(column) == len(result.checks) for column in table.values())
+        for i, c in enumerate(result.checks):
+            row = tuple(table[name][i] for name in table)
+            assert row == (c.x, c.count, c.bound, c.margin, c.status)
+        assert ("fail" in table["status"]) == (not result.all_ok)
 
     def test_explicit_x_max(self):
         report = run_theorem(RANGE50, "T1", h=2, mode=Mode.prefix(50), x_max=10)
