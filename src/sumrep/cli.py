@@ -327,6 +327,7 @@ def _cmd_construct(args) -> int:
             f"  watermark: {log.watermark}, certified: "
             + ("yes" if log.certified else "no")
             + (f" (n0={log.n0}, {log.checked_count} sums)" if log.certified else ""),
+            f"  certified fraction (W-n0)/W: {_fmt(log.certified_frac)}",
         ]
         if log.failures:
             lines.append(f"  unreachable sums: {[n for n, _ in log.failures]}")
@@ -345,6 +346,7 @@ def _cmd_density(args) -> int:
         lines = [f"x={r.x} A(x)={r.count} bound={_fmt(r.lower_bound)} "
                  f"(log x)^2={_fmt(r.log_sq_ref)}" for r in report.rows]
         lines.append(f"A(T)/(log T)^2 = {_fmt(report.final_ratio)}")
+        lines.append(f"certified fraction (W-n0)/W = {_fmt(report.certified_frac)}")
         _emit(args, "\n".join(lines))
     return PASS
 

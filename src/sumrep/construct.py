@@ -53,6 +53,12 @@ class ConstructionLog:
     checked_count: int
     density_curve: tuple[tuple[int, int], ...]  # (x, A(x))
 
+    @property
+    def certified_frac(self) -> float:
+        """(W - n0)/W, the certified share of the watermark window; 0 when
+        uncertified (a certified run has a sum >= n0 in [0, W], so W >= 1)."""
+        return (self.watermark - self.n0) / self.watermark if self.certified else 0.0
+
     def to_dict(self) -> dict:
         return {
             "schema_version": 1,
@@ -67,6 +73,7 @@ class ConstructionLog:
             "certified": self.certified,
             "n0": self.n0,
             "checked_count": self.checked_count,
+            "certified_frac": self.certified_frac,
             "density_curve": [list(p) for p in self.density_curve],
         }
 
@@ -258,6 +265,7 @@ class DensityReport:
     k0: int
     rows: tuple[DensityRow, ...]
     final_ratio: float  # A(T) / (log T)^2, reported without any threshold
+    certified_frac: float  # (W - n0)/W of the construction
 
     def to_dict(self) -> dict:
         return {
@@ -266,6 +274,7 @@ class DensityReport:
             "k0": self.k0,
             "rows": [r.to_dict() for r in self.rows],
             "final_ratio": self.final_ratio,
+            "certified_frac": self.certified_frac,
         }
 
     def csv_text(self) -> str:
@@ -307,4 +316,5 @@ def density_report(log: ConstructionLog) -> DensityReport:
             f"A(x)={last.count} < {last.lower_bound}"
         )
     ratio = last.count / (math.log(last.x) ** 2)
-    return DensityReport(theorem_id=theorem_id, k0=k0, rows=rows, final_ratio=ratio)
+    return DensityReport(theorem_id=theorem_id, k0=k0, rows=rows, final_ratio=ratio,
+                         certified_frac=log.certified_frac)

@@ -1,20 +1,24 @@
 """Exact h-fold sumsets and representation counts.
 
 ``rep_count`` counts nondecreasing h-tuples over A summing to n (multiset
-count).  Three independent routes exist on purpose:
+count).  Independent routes exist on purpose:
 
   * ``rep_count_naive``: exhaustive recursive enumeration, the correctness
     oracle for everything else;
   * ``rep_count``: memoized recursion on the number of summands left, fast
     for single n and the only route whose cost does not grow with max(A);
-  * ``rep_table``: one sweep over the sorted elements that fills a whole
-    window at once, O(|A| * h * window).
+  * ``rep_table``: a whole window at once, from a certified float FFT,
+    O(h^2 * W log W), when the FFT can prove its row exact, and otherwise
+    from one checked sweep over the sorted elements, O(|A| * h * W).
 
-The sweep keeps one unsigned 64-bit row per number of summands.  Every
-cell it keeps is bounded by some h-fold count in the window, so it checks
-each add for wrap-around and raises ``CountOverflowError`` exactly when a
-count in the window exceeds 64 bits; the check is skipped when the
-multiset total C(#elements + h - 1, h) fits, since then no cell can wrap.
+The FFT route (``_fft_row``) applies the Newton identity for multisets and
+returns a row only with a certificate of exactness; it never decides a
+verdict the sweep would not.  The sweep keeps one unsigned 64-bit row per
+number of summands.  Every cell it keeps is bounded by some h-fold count
+in the window, so it checks each add for wrap-around and raises
+``CountOverflowError`` exactly when a count in the window exceeds 64 bits;
+the check is skipped when the multiset total C(#elements + h - 1, h)
+fits, since then no cell can wrap.
 
 A table built from a prefix of a larger set is exact for all n up to the
 prefix completeness bound M: every summand of such an n is itself <= M,
@@ -141,44 +145,141 @@ def _sweep(
     return rows
 
 
-@dataclass(frozen=True)
+_EPS = 2.0**-53  # unit roundoff of float64
+_BETA = 2.0**-52  # error allowed in each precomputed root of unity
+_EXACT = 2**53  # float64 and int64 hold every integer below this
+
+
+def _fft_error_constant(n: int, j: int) -> float:
+    """(1+eps)^(3n+j-1) (1+eps*sqrt 5)^(3n+1) (1+beta)^(3n) - 1."""
+    return math.expm1(
+        (3 * n + j - 1) * math.log1p(_EPS)
+        + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5))
+        + 3 * n * math.log1p(_BETA)
+    )
+
+
+def _fft_row(elements: Sequence[int], h: int, hi: int) -> np.ndarray | None:
+    """r_h(0..hi) as a uint64 row from a float FFT, or None when uncertified.
+
+    With P_k(x) = sum_{a <= hi} x^(k*a) and H_0 = 1, the Newton identity
+    j*H_j = sum_{k=1..j} P_k * H_{j-k} (the MSET construction of Flajolet &
+    Sedgewick, Analytic Combinatorics, Sec. I.2) makes H_j(x) count the
+    j-multisets of the elements by their sum, and r_h = H_h.  Each step sums
+    its products in the frequency domain, takes one inverse transform of
+    size N = 2^n, the next power of two above 2*hi + 1 (so no product
+    wraps), and rounds.  The row is returned only when all of these hold:
+
+      * C(k+h-1, h) < 2^53 for the k elements <= hi.  Every H_j(t), t <= hi,
+        counts j-multisets of those elements, so each is at most that total
+        and exact in float64 and int64;
+      * the a-priori error of each step, c_j * sum_k |P_k|_2 |H_{j-k}|_2,
+        is below 1/4, with c_j = (1+eps)^(3n+j-1) (1+eps*sqrt 5)^(3n+1)
+        (1+beta)^(3n) - 1, eps = 2^-53 and beta = 2^-52 the allowed error
+        of a root of unity.  This is the bound of Percival, Math. Comp. 72
+        (2003), Thm. 5.1, on |z' - z|_inf for one FFT product z = x*y,
+        applied to each term by linearity, times (1+eps)^(j-1) for the
+        j - 1 spectrum additions.  By Cauchy-Schwarz the same norm sum
+        bounds every exact j*H_j(t), which a bound below 1/4 keeps far
+        below 2^53;
+      * every raw value lies within 1/4 of an integer;
+      * every rounded Newton sum is divisible by j;
+      * on a full window (hi >= h*max(A)) the row sums to C(|A|+h-1, h).
+
+    Percival's bound is proved for the radix-2 FFT; numpy's pocketfft mixes
+    radices with error of the same O(eps log N) order, and the last three
+    checks reject a transform that breaks it.  Declining costs one binomial
+    when the total is too large, and nothing is allocated when the
+    transforms would not fit in physical memory.
+    """
+    stop = bisect_right(elements, hi)
+    if math.comb(stop + h - 1, h) >= _EXACT:
+        return None
+    size = 1 << (2 * hi + 1).bit_length()
+    try:
+        ensure_memory((2 * h + 2) * (size // 2 + 1) * 16, f"the {h}-fold FFT to {hi}")
+    except ParameterError:
+        return None
+    base = np.array(elements[:stop], dtype=np.int64)
+    spectra, norms = [None], [None]  # P_k's spectrum and |P_k|_2, from k = 1
+    for k in range(1, h + 1):
+        picked = bisect_right(elements, hi // k, 0, stop)
+        poly = np.zeros(hi + 1)
+        poly[k * base[:picked]] = 1.0
+        spectra.append(np.fft.rfft(poly, size))
+        norms.append(math.sqrt(picked))
+        if k == 1:
+            row = poly  # H_1 = P_1
+    n = size.bit_length() - 1
+    h_spectra, h_norms = [None, spectra[1]], [1.0, norms[1]]
+    for j in range(2, h + 1):
+        terms = sum(norms[k] * h_norms[j - k] for k in range(1, j + 1))
+        if _fft_error_constant(n, j) * terms >= 0.25:
+            return None
+        total = spectra[j].copy()  # P_j * H_0
+        for k in range(1, j):
+            total += spectra[k] * h_spectra[j - k]
+        raw = np.fft.irfft(total, size)[: hi + 1]
+        whole = np.rint(raw)
+        if np.any(np.abs(raw - whole) >= 0.25):
+            return None
+        sums = whole.astype(np.int64)
+        if np.any(sums % j):
+            return None
+        row = (sums // j).astype(np.float64)
+        h_norms.append(math.sqrt(float(np.dot(row, row))))
+        if j < h:
+            h_spectra.append(np.fft.rfft(row, size))
+    row = row.astype(np.uint64)
+    if elements and hi >= h * elements[-1]:
+        if sum(row.tolist()) != math.comb(len(elements) + h - 1, h):
+            return None
+    return row
+
+
+@dataclass(frozen=True, eq=False)
 class RepTable:
     """Exact r_{A,h}(n) on the window [lo, hi], with exactness metadata.
 
-    ``exactness_bound`` is the largest n whose count is trustworthy for the
-    underlying (possibly infinite) set; the table may extend beyond it.
-    ``trimmed`` flags a requested window cut back to [0, h*max(A)].
+    ``row`` holds the counts as one read-only uint64 array, row[i] being
+    r(lo + i).  ``exactness_bound`` is the largest n whose count is
+    trustworthy for the underlying (possibly infinite) set; the table may
+    extend beyond it.  ``trimmed`` flags a requested window cut back to
+    [0, h*max(A)].
     """
 
     base_set: IntegerSet
     h: int
     lo: int
     hi: int
-    values: tuple[int, ...]
+    row: np.ndarray
     exactness_bound: int
     trimmed: bool
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.row.tolist())
 
     def count(self, n: int) -> int:
         if not (self.lo <= n <= self.hi):
             raise WindowError(f"n={n} outside table window [{self.lo}, {self.hi}]")
-        return self.values[n - self.lo]
+        return int(self.row[n - self.lo])
 
     def in_sumset(self, n: int) -> bool:
         return self.count(n) >= 1
 
     def items(self) -> Iterator[tuple[int, int]]:
-        for i, c in enumerate(self.values):
-            yield self.lo + i, c
+        return enumerate(self.row.tolist(), start=self.lo)
 
     def support(self) -> tuple[int, ...]:
         """All n in the window with a positive count (members of hA)."""
-        return tuple(n for n, c in self.items() if c >= 1)
+        return tuple((np.flatnonzero(self.row) + self.lo).tolist())
 
     def total(self) -> int:
-        return sum(self.values)
+        return sum(self.row.tolist())  # Python ints: a total can pass 2^64
 
     def max_count(self) -> int:
-        return max(self.values) if self.values else 0
+        return int(self.row.max()) if self.row.size else 0
 
     def csv_text(self) -> str:
         out = io.StringIO()
@@ -208,8 +309,9 @@ def rep_table(
     set up to M; counts are then exact for all n <= M.  Without it the set
     is treated as complete and the exactness bound is h*max(A).
 
-    Counts come from one checked 64-bit sweep; a count above 2^64 - 1 in
-    the window raises CountOverflowError.
+    Counts come from the certified FFT when it certifies its row, and
+    otherwise from one checked 64-bit sweep, where a count above 2^64 - 1
+    in the window raises CountOverflowError.
     """
     if h < 1:
         raise ParameterError(f"h must be >= 1, got {h}")
@@ -237,13 +339,17 @@ def rep_table(
     else:
         bound = full
 
-    values = tuple(_sweep(A.elements, h, hi)[h][lo : hi + 1].tolist())
+    row = _fft_row(A.elements, h, hi)
+    if row is None:
+        row = _sweep(A.elements, h, hi)[h]
+    row = row[lo : hi + 1]
+    row.flags.writeable = False
     return RepTable(
         base_set=A,
         h=h,
         lo=lo,
         hi=hi,
-        values=values,
+        row=row,
         exactness_bound=bound,
         trimmed=trimmed,
     )

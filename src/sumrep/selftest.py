@@ -6,15 +6,18 @@ import math
 import random
 from typing import Callable
 
+import numpy as np
+
 from .intset import from_values
-from .repcount import rep_count, rep_count_naive, rep_table
+from .repcount import _fft_row, _sweep, rep_count, rep_count_naive, rep_table
 
 
 def run_selftest(
     trials: int = 60, seed: int = 0, emit: Callable[[str], None] = print
 ) -> bool:
-    """Exhaustively compare the three counting routes on random small sets
-    and check the multiset totality identity.  True when everything agrees."""
+    """Exhaustively compare the counting routes on random small sets (the
+    FFT must certify rows this small) and check the multiset totality
+    identity.  True when everything agrees."""
     rng = random.Random(seed)
     ok = True
 
@@ -24,6 +27,11 @@ def run_selftest(
         h = rng.choice([2, 3, 4])
         hi = h * A.max_element
         table = rep_table(A, h)
+        fft = _fft_row(A.elements, h, hi)
+        if fft is None or not np.array_equal(fft, _sweep(A.elements, h, hi)[h]):
+            ok = False
+            emit(f"FAIL fft trial={trial} A={list(A)} h={h}: "
+                 + ("not certified" if fft is None else "row differs from the sweep"))
         for n in range(hi + 1):
             naive = rep_count_naive(A, h, n)
             fast = rep_count(A, h, n)

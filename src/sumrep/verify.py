@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import (
     CertificateError,
     ParameterError,
@@ -138,9 +140,9 @@ def is_bhs(A: IntegerSet, h: int, s: int, mode: Mode = Mode.complete()) -> BhsRe
     if s < 1:
         raise ParameterError(f"s must be >= 1, got {s}")
     bound = mode.exactness_bound(A, h)
-    table = rep_table(A, h, window=(0, bound), prefix_bound=bound)
-    violations = tuple((n, c) for n, c in table.items() if c > s)
-    checked = sum(1 for _, c in table.items() if c >= 1)
+    row = rep_table(A, h, window=(0, bound), prefix_bound=bound).row
+    over = np.flatnonzero(row > s)
+    violations = tuple(zip(over.tolist(), row[over].tolist()))
     return BhsReport(
         h=h,
         s=s,
@@ -148,7 +150,7 @@ def is_bhs(A: IntegerSet, h: int, s: int, mode: Mode = Mode.complete()) -> BhsRe
         window_hi=bound,
         holds=not violations,
         violations=violations,
-        checked_count=checked,
+        checked_count=int(np.count_nonzero(row)),
     )
 
 
@@ -194,30 +196,23 @@ def check_premise(
     if n0 is not None and n0 < 0:
         raise ParameterError(f"n0 must be >= 0, got {n0}")
     bound = mode.exactness_bound(A, h)
-    table = rep_table(A, h, window=(0, bound), prefix_bound=bound)
+    row = rep_table(A, h, window=(0, bound), prefix_bound=bound).row
+    short = np.flatnonzero((row >= 1) & (row < ell))
     if n0 is None:
         # just past the last short sum, unless that is the window's top
-        short = [n for n, c in table.items() if 1 <= c < ell]
-        n0 = short[-1] + 1 if short and short[-1] < bound else 0
+        n0 = int(short[-1]) + 1 if short.size and short[-1] < bound else 0
     if n0 > bound:
         raise WindowError(f"window empty: n0={n0} exceeds exactness bound {bound}")
-    violations = []
-    checked = 0
-    for n, c in table.items():
-        if n < n0 or c == 0:
-            continue
-        checked += 1
-        if c < ell:
-            violations.append((n, c))
+    short = short[np.searchsorted(short, n0):]
     return PremiseReport(
         h=h,
         ell=ell,
         n0=n0,
         window_lo=n0,
         window_hi=bound,
-        holds=not violations,
-        violations=tuple(violations),
-        checked_count=checked,
+        holds=not short.size,
+        violations=tuple(zip(short.tolist(), row[short].tolist())),
+        checked_count=int(np.count_nonzero(row[n0:])),
     )
 
 
@@ -828,6 +823,9 @@ def run_theorem(
     with h-fold counts.
     """
     h, ell, s = _normalize_params(theorem_id, h, ell, s)
+    if x_max is not None and x_max < h:
+        # rejected up front, so that exit 1 stays a mathematical "no"
+        raise WindowError(f"x_max={x_max} below x >= h = {h}")
     bound = mode.exactness_bound(A, h)
 
     failures: list[str] = []

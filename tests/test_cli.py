@@ -119,6 +119,14 @@ class TestTheorem:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("mode", ["complete", "prefix:7"])
+    def test_x_max_below_h_is_an_input_error(self, capsys, sidon, mode):
+        # the premise fails on {0, 1, 3, 7}; a bad --x-max is still exit 2
+        code, out, err = run(capsys, "theorem", "--id", "T1", "--h", "4",
+                             "--x-max", "2", "--mode", mode, "--set", sidon)
+        assert (code, out) == (2, "")
+        assert "x_max=2 below x >= h = 4" in err
+
     def test_csv_export(self, capsys, range50):
         code, out, _ = run(capsys, "theorem", "--id", "T1", "--h", "2",
                            "--mode", "prefix:50", "--set", range50,
@@ -164,6 +172,13 @@ class TestOtherCommands:
                            "--log-out", log_path)
         assert code == 0
         assert "certified: yes" in out
+        log = json.loads(open(log_path, encoding="utf-8").read())
+        frac = (log["watermark"] - log["n0"]) / log["watermark"]
+        assert log["certified_frac"] == frac
+        assert f"certified fraction (W-n0)/W: {frac:.12g}" in out
+        code, out, _ = run(capsys, "density", "--log", log_path)
+        assert code == 0
+        assert out.splitlines()[-1] == f"certified fraction (W-n0)/W = {frac:.12g}"
         code, out, _ = run(capsys, "density", "--log", log_path,
                            "--format", "csv")
         assert code == 0
@@ -178,6 +193,7 @@ class TestOtherCommands:
                            "--seed-set", str(seed), "--log-out", log_path)
         assert code == 1
         assert "certified: no" in out
+        assert "certified fraction (W-n0)/W: 0\n" in out
         code, _, err = run(capsys, "density", "--log", log_path)
         assert code == 2
         assert "requires a certified construction log" in err

@@ -154,6 +154,21 @@ class TestGreedyRepair:
         doc = json.loads(log.to_json())
         assert ConstructionLog.from_dict(doc) == log
 
+    def test_certified_fraction(self):
+        log = greedy_repair(2, 200)
+        assert log.certified
+        assert log.certified_frac == (log.watermark - log.n0) / log.watermark
+        assert log.to_dict()["certified_frac"] == log.certified_frac
+        assert density_report(log).to_dict()["certified_frac"] == log.certified_frac
+        assert greedy_repair(2, 3, "smallest-new", from_values([0])).certified_frac == 0.0
+
+    def test_log_without_certified_fraction_still_loads(self):
+        # logs written before the field existed
+        log = greedy_repair(2, 200)
+        doc = log.to_dict()
+        del doc["certified_frac"]
+        assert ConstructionLog.from_dict(doc) == log
+
     def test_density_curve_tracks_counting(self):
         log = greedy_repair(2, 400)
         for x, count in log.density_curve:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import multiset_sum_counts
 from sumrep.errors import CountOverflowError, ParameterError, RangeOverflowError, WindowError
 from sumrep.intset import U64_MAX, from_values
-from sumrep.repcount import rep_count, rep_count_naive, rep_table, sumset
+from sumrep.repcount import _fft_row, _sweep, rep_count, rep_count_naive, rep_table, sumset
 
 tiny_sets = st.frozensets(st.integers(0, 40), min_size=1, max_size=7)
 
@@ -147,11 +148,23 @@ class TestRepTable:
             rep_table(from_values([1, 2]), 2, window=window)
 
     def test_table_past_physical_memory_refused(self):
-        # 2^61 + 1 cells per row: refused before any array is allocated
-        with pytest.raises(ParameterError, match="needs about"):
+        # 2^61 + 1 cells per row: refused before any array is allocated.
+        # The FFT declines its own estimate silently, so the refusal the
+        # caller sees is the sweep's.
+        assert _fft_row((0, 2**60), 2, 2**61) is None
+        with pytest.raises(ParameterError, match=r"2-fold sweep to \d+: needs about"):
             rep_table(from_values([0, 2**60]), 2)
         with pytest.raises(ParameterError, match="sumset: needs about"):
             sumset(from_values([0, 2**60]), 2)
+
+    def test_row_is_read_only_uint64(self):
+        t = rep_table(from_values([1, 2, 3]), 2, window=(3, 5))
+        assert t.row.dtype == np.uint64
+        assert t.row.tolist() == [1, 2, 1]
+        assert t.values == (1, 2, 1)
+        assert type(t.count(4)) is int and type(t.max_count()) is int
+        with pytest.raises(ValueError):
+            t.row[0] = 7
 
     def test_count_outside_window(self):
         t = rep_table(from_values([1, 2]), 2, window=(2, 4))
@@ -178,6 +191,67 @@ class TestRepTable:
     def test_empty_set(self):
         t = rep_table(from_values([]), 3)
         assert dict(t.items()) == {0: 0}
+
+
+class TestFftRoute:
+    @settings(max_examples=150)
+    @given(st.frozensets(st.integers(0, 200), max_size=14), st.integers(2, 6),
+           st.integers(0, 1300))
+    def test_equals_sweep(self, values, h, hi):
+        elements = tuple(sorted(values))
+        row = _fft_row(elements, h, hi)
+        assert row is not None and row.dtype == np.uint64
+        assert np.array_equal(row, _sweep(elements, h, hi)[h])
+
+    @settings(max_examples=40)
+    @given(st.frozensets(st.integers(0, 30), min_size=1, max_size=8), st.integers(2, 6))
+    def test_equals_oracle(self, values, h):
+        A = from_values(values)
+        hi = h * A.max_element
+        row = _fft_row(A.elements, h, hi)
+        assert row.tolist() == [rep_count_naive(A, h, n) for n in range(hi + 1)]
+
+    # +0.3 breaks the rounding check, +1 the divisibility by j = 2, and +2
+    # passes both but breaks the total of the full window
+    @pytest.mark.parametrize("shift", [0.3, 1.0, 2.0])
+    def test_tampered_transform_declines(self, monkeypatch, shift):
+        A = from_values(range(0, 60, 3))
+        expected = _sweep(A.elements, 2, 114)[2].tolist()
+        real = np.fft.irfft
+
+        def tampered(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[50] += shift
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", tampered)
+        assert _fft_row(A.elements, 2, 114) is None
+        assert list(rep_table(A, 2).values) == expected
+
+    def test_total_past_2_53_declines_before_any_transform(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no spectrum may be computed")
+
+        monkeypatch.setattr(np.fft, "rfft", forbidden)
+        assert math.comb(700 + 9 - 1, 9) >= 2**53
+        assert _fft_row(tuple(range(700)), 9, 6291) is None
+
+    def test_error_bound_declines(self, monkeypatch):
+        # the multiset total fits in 53 bits, but at a late step the norm
+        # sum times the error constant reaches 1/4: the FFT stops before
+        # that step's inverse transform, though every rounding so far held
+        errors = []
+        real = np.fft.irfft
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            errors.append(float(np.max(np.abs(out - np.rint(out)))))
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", recording)
+        assert math.comb(40 + 20 - 1, 20) < 2**53
+        assert _fft_row(tuple(range(40)), 20, 780) is None
+        assert 0 < len(errors) < 20 - 1 and max(errors) < 0.25
 
 
 def _partition_counts(limit):

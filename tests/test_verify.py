@@ -501,6 +501,12 @@ class TestRunTheorem:
         assert report.x_max == 10
         assert max(c.x for c in report.bound_checks.checks) == 10
 
+    @pytest.mark.parametrize("A, mode", [(SIDON, Mode.complete()), (RANGE50, Mode.prefix(50))])
+    def test_x_max_below_h_rejected_before_the_premise(self, A, mode):
+        # the premise fails on SIDON at h=4 and holds on RANGE50: both refuse
+        with pytest.raises(WindowError, match=r"x_max=2 below x >= h = 4"):
+            run_theorem(A, "T1", h=4, mode=mode, x_max=2)
+
     def test_vacuous_block_range_still_passes(self):
         # ell=6 on {0..10}: only the top sum has six representations, so the
         # anchor block sits beyond every verifiable target
