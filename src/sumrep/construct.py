@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateError, ParameterError
+from .errors import CertificateError, ParameterError, SumrepError
 from .intset import IntegerSet, counting, ensure_memory, from_values
 from .verify import Mode, _bound_float, _bound_holds, _bound_terms, check_premise, compute_k0
 
@@ -83,23 +83,27 @@ class ConstructionLog:
     @classmethod
     def from_dict(cls, doc: dict) -> "ConstructionLog":
         return cls(
-            target_ell=doc["target_ell"],
-            horizon=doc["horizon"],
+            target_ell=int(doc["target_ell"]),
+            horizon=int(doc["horizon"]),
             strategy=doc["strategy"],
             seed_set=from_values(doc["seed"]),
             additions=tuple((int(e), int(n)) for e, n in doc["additions"]),
             failures=tuple((int(n), int(c)) for n, c in doc["failures"]),
-            watermark=doc["watermark"],
+            watermark=int(doc["watermark"]),
             final_set=from_values(doc["final"]),
             certified=doc["certified"],
-            n0=doc["n0"],
-            checked_count=doc["checked_count"],
+            n0=None if doc["n0"] is None else int(doc["n0"]),
+            checked_count=int(doc["checked_count"]),
             density_curve=tuple((int(x), int(c)) for x, c in doc["density_curve"]),
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ConstructionLog":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str | bytes) -> "ConstructionLog":
+        """Parse a log; a document that is not one raises SumrepError."""
+        try:
+            return cls.from_dict(json.loads(text))
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise SumrepError(f"malformed construction log: {type(exc).__name__}: {exc}") from None
 
     def save(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -107,7 +111,7 @@ class ConstructionLog:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ConstructionLog":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:  # json decodes the bytes, so bad UTF-8 is malformed too
             return cls.from_json(fh.read())
 
 

@@ -200,8 +200,12 @@ def parse_set_text(text: str) -> IntegerSet:
 
 def load_set(path: str | os.PathLike) -> IntegerSet:
     """Load a set file (one nonnegative decimal integer per line)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_set_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SetFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_set_text(text)
 
 
 def save_set(A: IntegerSet, path: str | os.PathLike) -> None:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -265,9 +264,6 @@ class RepTable:
             raise WindowError(f"n={n} outside table window [{self.lo}, {self.hi}]")
         return int(self.row[n - self.lo])
 
-    def in_sumset(self, n: int) -> bool:
-        return self.count(n) >= 1
-
     def items(self) -> Iterator[tuple[int, int]]:
         return enumerate(self.row.tolist(), start=self.lo)
 
@@ -291,10 +287,6 @@ class RepTable:
         for n, c in self.items():
             out.write(f"{n},{c}\n")
         return out.getvalue()
-
-    def to_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.csv_text())
 
 
 def rep_table(

@@ -11,9 +11,9 @@ hand.  The three theorem harnesses (T1, T2, T3) share one skeleton:
      element's h-fold sum has enough distinct non-diagonal top summands,
      all landing in the next block (witness certificates);
   4. check the counting function against the theorem's logarithmic lower
-     bound at every step point up to x_max.  The bound is held as integers
-     (h, coef, den, num), so A(x) >= bound(x) is decided exactly as
-     den*A(x) + num >= ceil(log_h(x**coef)); floats are only reported.
+     bound up to x_max, in integers: den*A(h^t) + num >= coef*(t+1) on the
+     power ladder, and den*A(x) + num >= min{e : h**e >= x**coef} at each
+     step end x = a-1, A(x) read off the sorted elements.  Floats are only reported.
 
 T3 additionally requires the set to be B_{h-1,s}; its premise is checked
 with h-fold counts and its per-block requirement via the pigeonhole
@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -140,7 +140,7 @@ def is_bhs(A: IntegerSet, h: int, s: int, mode: Mode = Mode.complete()) -> BhsRe
     if s < 1:
         raise ParameterError(f"s must be >= 1, got {s}")
     bound = mode.exactness_bound(A, h)
-    row = rep_table(A, h, window=(0, bound), prefix_bound=bound).row
+    row = rep_table(A, h, window=(0, bound)).row
     over = np.flatnonzero(row > s)
     violations = tuple(zip(over.tolist(), row[over].tolist()))
     return BhsReport(
@@ -196,7 +196,7 @@ def check_premise(
     if n0 is not None and n0 < 0:
         raise ParameterError(f"n0 must be >= 0, got {n0}")
     bound = mode.exactness_bound(A, h)
-    row = rep_table(A, h, window=(0, bound), prefix_bound=bound).row
+    row = rep_table(A, h, window=(0, bound)).row
     short = np.flatnonzero((row >= 1) & (row < ell))
     if n0 is None:
         # just past the last short sum, unless that is the window's top
@@ -595,19 +595,22 @@ def _bound_terms(
     return h, ell - 1, s if theorem_id == "T3" else 1, (ell - 1) * (k0 + 1)
 
 
+def _exponents(h: int, coef: int, xs: Iterable[int]) -> Iterator[int]:
+    """For ascending xs, the least e with h**e >= x**coef, each in turn: the
+    exponents never decrease, so one running power of h serves them all."""
+    e, power = 0, 1
+    for x in xs:
+        target = x**coef
+        while power < target:
+            e, power = e + 1, power * h
+        yield e
+
+
 def _bound_holds(terms: tuple[int, int, int, int], count: int, x: int) -> bool:
     """Exactly A(x) >= bound(x) for A(x) = count: den*count + num >= e, the
-    least e with h**e >= x**coef.  A float estimate of e is corrected with
-    exact powers of h up to x**coef, never one that contains the count."""
+    least e with h**e >= x**coef."""
     h, coef, den, num = terms
-    target = x**coef
-    e = int(math.log(target, h))
-    power = h**e
-    while power < target:
-        e, power = e + 1, power * h
-    while e and power // h >= target:
-        e, power = e - 1, power // h
-    return den * count + num >= e
+    return den * count + num >= next(_exponents(h, coef, (x,)))
 
 
 def _bound_float(terms: tuple[int, int, int, int], x: int) -> float:
@@ -674,17 +677,6 @@ class BoundResult:
         }
 
 
-def _bound_candidates(A: IntegerSet, h: int, x_max: int) -> list[int]:
-    """Right endpoints of the stretches where A(x) is constant.
-
-    A(x) only jumps at elements of A while the bound increases, so checking
-    each a-1 (and x_max itself) decides every x in [h, x_max].
-    """
-    xs = {a - 1 for a in A.elements if h <= a - 1 <= x_max}
-    xs.add(x_max)
-    return sorted(xs)
-
-
 def verify_counting_bound(
     A: IntegerSet,
     theorem_id: str,
@@ -697,22 +689,30 @@ def verify_counting_bound(
 ) -> BoundResult:
     """Check A(x) >= bound(x) for every integer x in [h, x_max].
 
-    The default checks only the candidate set; ``exhaustive=True`` checks
-    every integer (their equivalence is itself a tested property).  Each
-    status is the exact integer comparison; bound and margin are the
-    double-precision values, reported only.
+    A(x) only jumps at elements of A while the bound increases, so the
+    default checks the step ends h <= a-1 < x_max (A(a-1) is the number of
+    positive elements below a) and x_max; ``exhaustive=True`` checks every
+    integer (their equivalence is itself a tested property).  Each status
+    is exact; bound and margin are double-precision values, reported only.
     """
     terms = _bound_terms(theorem_id, h, ell, s, k0)
-    h = terms[0]
+    h, coef, den, num = terms
     if x_max < h:
         raise WindowError(f"x_max={x_max} below x >= h = {h}")
-    xs = range(h, x_max + 1) if exhaustive else _bound_candidates(A, h, x_max)
-    checks = []
-    for x in xs:
-        count = counting(A, x)
-        checks.append(BoundCheck(x, count, _bound_float(terms, x), _bound_holds(terms, count, x)))
+    if exhaustive:
+        xs = range(h, x_max + 1)
+        counts = [counting(A, x) for x in xs]
+    else:
+        els = A.elements
+        first, lo, hi = bisect_right(els, 0), bisect_left(els, h + 1), bisect_right(els, x_max)
+        xs = [a - 1 for a in els[lo:hi]] + [x_max]
+        counts = [*range(lo - first, hi - first), counting(A, x_max)]
+    checks = tuple(
+        BoundCheck(x, count, _bound_float(terms, x), den * count + num >= e)
+        for x, count, e in zip(xs, counts, _exponents(h, coef, xs))
+    )
     all_ok = all(c.holds for c in checks)
-    return BoundResult(x_max=x_max, exhaustive=exhaustive, checks=tuple(checks), all_ok=all_ok)
+    return BoundResult(x_max=x_max, exhaustive=exhaustive, checks=checks, all_ok=all_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -863,20 +863,14 @@ def run_theorem(
             if not bounds.all_ok:
                 failures.append("bounds")
 
-            _, coef, den, num = terms = _bound_terms(theorem_id, h, ell, s, k0)
+            # at x = h^(t+1) the exponent of x**coef is exactly coef*(t+1)
+            _, coef, den, num = _bound_terms(theorem_id, h, ell, s, k0)
             checks = []
             t, power = 1, h
             while power <= effective_x_max:
                 count = counting(A, power)
-                checks.append(
-                    PowerCheck(
-                        t=t,
-                        power=power,
-                        count=count,
-                        required=Fraction(coef * (t + 1) - num, den),
-                        ok=_bound_holds(terms, count, power * h),
-                    )
-                )
+                required = Fraction(coef * (t + 1) - num, den)
+                checks.append(PowerCheck(t, power, count, required, count >= required))
                 t, power = t + 1, power * h
             powers = tuple(checks)
             if not all(p.ok for p in powers):

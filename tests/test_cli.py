@@ -283,3 +283,43 @@ class TestErrors:
         code, _, err = run(capsys, "sumset", "--h", "2", "--set", s123)
         assert code == 3
         assert exc.__name__ in err and "internal error" in err
+
+
+class TestBadInputFiles:
+    """Unreadable input files are input errors (exit 2, one error line),
+    never a traceback with exit 1, which means a mathematical "no"."""
+
+    @pytest.fixture
+    def log_doc(self, capsys, tmp_path):
+        path = tmp_path / "log.json"
+        assert run(capsys, "construct", "--ell", "2", "--T", "200", "--log-out", str(path))[0] == 0
+        return json.loads(path.read_text())
+
+    def _density(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        code, out, err = run(capsys, "density", "--log", str(path))
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: malformed construction log: ")
+        return err
+
+    def test_set_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"1\n\xff\xfe2\n")
+        code, out, err = run(capsys, "sumset", "--h", "2", "--set", str(path))
+        assert code == 2
+        assert out == "" and err.splitlines() == [
+            f"error: {path}: not UTF-8 text (invalid start byte at byte 2)"
+        ]
+
+    def test_log_not_json(self, capsys, tmp_path):
+        assert "JSONDecodeError" in self._density(capsys, tmp_path, "{oops")
+
+    def test_log_missing_key(self, capsys, tmp_path, log_doc):
+        del log_doc["horizon"]
+        assert "KeyError: 'horizon'" in self._density(capsys, tmp_path, log_doc)
+
+    def test_log_wrongly_typed_field(self, capsys, tmp_path, log_doc):
+        log_doc["n0"] = "z"
+        assert "'z'" in self._density(capsys, tmp_path, log_doc)

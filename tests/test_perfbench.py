@@ -5,10 +5,13 @@ benchmark runs them, so a change that breaks a name the harness uses, or
 an output the reference recomputes, fails here first.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from sumrep import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +43,29 @@ def test_certify_dense_pass_is_correct():
 def test_certify_sparse_pass_is_correct():
     # theorem, premise and sumset at h=2, plus construct and density
     _assert_pass_correct("certify-sparse")
+
+
+def test_tracer_counts_every_bound_row(tmp_path):
+    """The bench's ``verify.bound_checks`` counter reads ``len(result.checks)``
+    of the traced ``verify_counting_bound``: it must equal the rows of the
+    report, so a rename or a change of the rows' shape cannot zero it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    set_path = tmp_path / "range50.txt"
+    set_path.write_text("".join(f"{i}\n" for i in range(51)))
+    out = tmp_path / "report.json"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["theorem", "--id", "T1", "--set", str(set_path), "--mode", "prefix:50",
+                         "--format", "json", "--no-meta", "--out", str(out)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    rows = len(json.loads(out.read_text())["bounds"]["checks"]["x"])
+    totals = tracer.totals()
+    assert rows == 49
+    assert totals["verify.bound_checks"] == rows
+    assert totals["verify.verify_counting_bound.calls"] == 1

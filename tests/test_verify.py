@@ -1,5 +1,6 @@
 import json
 import math
+from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -20,6 +21,8 @@ from sumrep.repcount import rep_count, rep_table
 from sumrep.verify import (
     Mode,
     _bound_holds,
+    _bound_terms,
+    _exponents,
     block_growth_check,
     bound_value,
     check_premise,
@@ -35,6 +38,12 @@ from sumrep.verify import (
 
 RANGE50 = from_values(range(51))
 SIDON = from_values([0, 1, 3, 7])
+# (theorem_id, h, ell, s) over T1, T2 and T3 terms
+THEOREMS = st.one_of(
+    st.tuples(st.just("T1"), st.integers(2, 4), st.just(2), st.none()),
+    st.tuples(st.just("T2"), st.just(2), st.integers(2, 4), st.none()),
+    st.tuples(st.just("T3"), st.integers(2, 4), st.integers(2, 4), st.integers(1, 3)),
+)
 
 
 class TestMode:
@@ -324,17 +333,74 @@ class TestVerifyCountingBound:
         with pytest.raises(WindowError):
             verify_counting_bound(RANGE50, "T1", 2, 2, None, 1, 1)
 
-    @settings(max_examples=60)
+    @settings(max_examples=200)
     @given(
-        st.frozensets(st.integers(0, 60), min_size=1, max_size=10),
+        st.frozensets(st.integers(0, 90), min_size=1, max_size=14),
+        THEOREMS,
         st.integers(1, 3),
-        st.integers(2, 60),
+        st.integers(0, 90),
     )
-    def test_candidate_set_equals_exhaustive(self, values, k0, x_max):
+    def test_candidate_set_equals_exhaustive(self, values, theorem, k0, extra):
+        """The step rows read off the sorted elements are the exhaustive
+        table's rows at the same x."""
+        theorem_id, h, ell, s = theorem
         A = from_values(values)
-        fast = verify_counting_bound(A, "T1", 2, 2, None, k0, x_max)
-        slow = verify_counting_bound(A, "T1", 2, 2, None, k0, x_max, exhaustive=True)
+        x_max = h + extra
+        fast = verify_counting_bound(A, theorem_id, h, ell, s, k0, x_max)
+        slow = verify_counting_bound(A, theorem_id, h, ell, s, k0, x_max, exhaustive=True)
+        at = {c.x: c for c in slow.checks}
+        for c in fast.checks:
+            assert c == at[c.x]
+        # A is constant on each step while the bound grows, so a pass at the
+        # step's right end passes the whole step
+        ends = [c.x for c in fast.checks]
+        for c in slow.checks:
+            end = at[ends[bisect_left(ends, c.x)]]
+            assert c.count == end.count
+            assert c.holds or not end.holds
         assert fast.all_ok == slow.all_ok
+
+    def test_failing_step_passes_at_its_left_end(self):
+        # {1, 64}: A(x) = 1 on [2, 63]; the T1 bound is 0 at x=2, ~4.98 at x=63
+        slow = verify_counting_bound(from_values([1, 64]), "T1", 2, 2, None, 1, 64,
+                                     exhaustive=True)
+        at = {c.x: c for c in slow.checks}
+        assert at[2].holds and not at[63].holds
+
+
+class TestExponents:
+    """The integer walk against the big-int oracle: the least e with
+    h**e >= x**coef."""
+
+    @staticmethod
+    def oracle(h, coef, x):
+        e = 0
+        while h**e < x**coef:
+            e += 1
+        return e
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.lists(
+            st.one_of(
+                st.integers(1, 10**6),
+                st.builds(lambda t, d: 4**t + d, st.integers(0, 40), st.integers(-1, 1)),
+                st.builds(lambda t, d: 3**t + d, st.integers(0, 40), st.integers(-1, 1)),
+                st.just(10**30),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_matches_big_int_oracle(self, h, coef, values):
+        xs = sorted(v for v in values if v >= 1)
+        assert list(_exponents(h, coef, xs)) == [self.oracle(h, coef, x) for x in xs]
+
+    def test_exact_powers_and_neighbours(self):
+        xs = [2**10 - 1, 2**10, 2**10 + 1, 10**30]
+        assert list(_exponents(2, 1, xs)) == [10, 10, 11, 100]
+        assert list(_exponents(2, 3, xs)) == [30, 30, 31, 299]
 
 
 class TestBoundHolds:
@@ -451,6 +517,26 @@ class TestRunTheorem:
             assert p.count == counting(RANGE50, p.power)
             assert p.required == Fraction(p.t - (report.k0 - 1))
             assert p.ok
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(3, 30),
+        st.frozensets(st.integers(0, 300), max_size=8),
+        THEOREMS,
+        st.sampled_from(["complete", "prefix"]),
+        st.one_of(st.none(), st.integers(4, 10**4)),
+    )
+    def test_power_ok_is_the_bound_at_the_next_power(self, m, extra, theorem, kind, x_max):
+        """A(h^t) >= required decides exactly bound(h^(t+1)) at A = A(h^t)."""
+        theorem_id, h, ell, s = theorem
+        A = from_values(set(range(m)) | extra)
+        mode = Mode.complete() if kind == "complete" else Mode.prefix(A.max_element)
+        report = run_theorem(A, theorem_id, h=h, ell=ell, s=s, mode=mode, x_max=x_max)
+        if report.k0 is None:
+            return
+        terms = _bound_terms(theorem_id, h, ell, s, report.k0)
+        for p in report.power_checks:
+            assert p.ok == _bound_holds(terms, p.count, p.power * h)
 
     def test_t1_t2_consistency(self):
         # same coefficient, T2's offset larger by one: T1 pass implies T2 pass
