@@ -48,9 +48,12 @@ def _mode(args) -> verify_mod.Mode:
     return verify_mod.Mode.parse(args.mode)
 
 
-def _common(sub: argparse.ArgumentParser, with_set: bool = True, with_mode: bool = False) -> None:
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                     help="output format (json is the structured report)")
+def _common(sub: argparse.ArgumentParser, with_set: bool = True,
+            with_mode: bool = False) -> argparse.Action:
+    """Add the shared options; returns the --format action, whose choices a
+    command with a CSV form extends."""
+    fmt = sub.add_argument("--format", choices=("text", "json"), default="text",
+                           help="output format (json is the structured report)")
     sub.add_argument("--out", help="write output to this file instead of stdout")
     sub.add_argument("--threads", type=int, default=None,
                      help="thread cap, validated for compatibility (must be >= 1; "
@@ -64,6 +67,7 @@ def _common(sub: argparse.ArgumentParser, with_set: bool = True, with_mode: bool
     if with_mode:
         sub.add_argument("--mode", default="complete",
                          help="'complete' or 'prefix:M' (M = completeness bound)")
+    return fmt
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None)
 
     p = subs.add_parser("rep", help="representation count at one n, or a table")
-    _common(p, with_mode=True)
+    _common(p, with_mode=True).choices += ("csv",)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--window", default=None, help="LO:HI table window")
@@ -98,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threshold; omitted = find the least passing threshold")
 
     p = subs.add_parser("theorem", help="run a full growth-theorem harness")
-    _common(p, with_mode=True)
+    _common(p, with_mode=True).choices += ("csv",)
     p.add_argument("--id", required=True, choices=verify_mod.THEOREM_IDS, dest="theorem_id")
     p.add_argument("--h", type=int, default=None)
     p.add_argument("--ell", type=int, default=None)
@@ -118,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-out", default=None, help="write the construction log (json) here")
 
     p = subs.add_parser("density", help="density table for a certified construction log")
-    _common(p, with_set=False)
+    _common(p, with_set=False).choices += ("csv",)
     p.add_argument("--log", required=True, help="construction log written by 'construct'")
 
     p = subs.add_parser("selftest", help="randomized oracle-equivalence suite")
@@ -150,9 +154,12 @@ def _cmd_rep(args) -> int:
     mode = _mode(args)
     if (args.n is None) == (args.window is None):
         raise SumrepError("rep takes exactly one of --n or --window")
+    bound = mode.exactness_bound(A, args.h)
     if args.n is not None:
-        if mode.kind == "prefix" and args.n > mode.bound:
-            raise WindowError(f"n={args.n} exceeds the exactness bound {mode.bound}")
+        if args.format == "csv":
+            raise SumrepError("rep --n has no csv form; use --window N:N for a table")
+        if mode.kind == "prefix" and args.n > bound:
+            raise WindowError(f"n={args.n} exceeds the exactness bound {bound}")
         count = rep_count(A, args.h, args.n)
         if args.format == "json":
             _emit_json(args, {
@@ -169,23 +176,30 @@ def _cmd_rep(args) -> int:
         lo, hi = (int(part) for part in args.window.split(":"))
     except ValueError:
         raise SumrepError(f"bad --window {args.window!r}; expected LO:HI") from None
-    prefix_bound = mode.bound if mode.kind == "prefix" else None
-    table = rep_table(A, args.h, window=(lo, hi), prefix_bound=prefix_bound)
+    cut = mode.kind == "prefix" and hi > bound
+    if cut:
+        if lo > bound:
+            raise WindowError(f"window {lo}:{hi} starts past the exactness bound {bound}")
+        hi = bound
+    table = rep_table(A, args.h, window=(lo, hi))
+    trimmed = cut or table.trimmed
     if args.format == "json":
         _emit_json(args, {
             "schema_version": 1,
             "command": "rep",
             "h": args.h,
             "window": [table.lo, table.hi],
-            "exactness_bound": table.exactness_bound,
-            "trimmed": table.trimmed,
+            "exactness_bound": bound,
+            "trimmed": trimmed,
             "counts": [[n, c] for n, c in table.items()],
         })
     elif args.format == "csv":
-        _emit(args, table.csv_text())
+        rows = (f"{n},{c}" for n, c in table.items())
+        _emit(args, "\n".join([f"# h={args.h} |A|={len(A)} exactness_bound={bound}",
+                               "n,count", *rows]))
     else:
         lines = [f"{n} {c}" for n, c in table.items()]
-        if table.trimmed:
+        if trimmed:
             lines.insert(0, f"# window trimmed to [{table.lo}, {table.hi}]")
         _emit(args, "\n".join(lines))
     return PASS

@@ -82,7 +82,10 @@ class ConstructionLog:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConstructionLog":
-        return cls(
+        """Rebuild a log, refusing one whose fields contradict each other
+        (TypeError/ValueError), so nothing downstream divides by a zero
+        watermark or reads an empty density curve."""
+        log = cls(
             target_ell=int(doc["target_ell"]),
             horizon=int(doc["horizon"]),
             strategy=doc["strategy"],
@@ -96,6 +99,18 @@ class ConstructionLog:
             checked_count=int(doc["checked_count"]),
             density_curve=tuple((int(x), int(c)) for x, c in doc["density_curve"]),
         )
+        if not isinstance(log.certified, bool):
+            raise TypeError(f"certified must be true or false, got {log.certified!r}")
+        if log.watermark != log.horizon // 2:
+            raise ValueError(f"watermark {log.watermark} is not floor(horizon/2) for "
+                             f"horizon {log.horizon}")
+        if log.certified and not (log.watermark >= 1 and log.n0 is not None
+                                  and 0 <= log.n0 <= log.watermark):
+            raise ValueError(f"a certified log needs watermark >= 1 and 0 <= n0 <= watermark, "
+                             f"got watermark={log.watermark}, n0={log.n0}")
+        if not log.density_curve or log.density_curve[-1][0] != log.horizon:
+            raise ValueError(f"density_curve must end at the horizon {log.horizon}")
+        return log
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ConstructionLog":

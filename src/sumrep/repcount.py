@@ -20,14 +20,13 @@ in the window, so it checks each add for wrap-around and raises
 the check is skipped when the multiset total C(#elements + h - 1, h)
 fits, since then no cell can wrap.
 
-A table built from a prefix of a larger set is exact for all n up to the
-prefix completeness bound M: every summand of such an n is itself <= M,
-hence visible in the prefix.  ``exactness_bound`` records that window.
+These routes only count over the set they are given.  Up to where a count
+also holds for the underlying (possibly infinite) set is declared by
+``verify.Mode``, not here.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -238,21 +237,16 @@ def _fft_row(elements: Sequence[int], h: int, hi: int) -> np.ndarray | None:
 
 @dataclass(frozen=True, eq=False)
 class RepTable:
-    """Exact r_{A,h}(n) on the window [lo, hi], with exactness metadata.
+    """r_{A,h}(n) over the set A on the window [lo, hi].
 
     ``row`` holds the counts as one read-only uint64 array, row[i] being
-    r(lo + i).  ``exactness_bound`` is the largest n whose count is
-    trustworthy for the underlying (possibly infinite) set; the table may
-    extend beyond it.  ``trimmed`` flags a requested window cut back to
+    r(lo + i).  ``trimmed`` flags a requested window cut back to
     [0, h*max(A)].
     """
 
-    base_set: IntegerSet
-    h: int
     lo: int
     hi: int
     row: np.ndarray
-    exactness_bound: int
     trimmed: bool
 
     @property
@@ -277,29 +271,9 @@ class RepTable:
     def max_count(self) -> int:
         return int(self.row.max()) if self.row.size else 0
 
-    def csv_text(self) -> str:
-        out = io.StringIO()
-        out.write(
-            f"# h={self.h} |A|={len(self.base_set)} "
-            f"exactness_bound={self.exactness_bound}\n"
-        )
-        out.write("n,count\n")
-        for n, c in self.items():
-            out.write(f"{n},{c}\n")
-        return out.getvalue()
 
-
-def rep_table(
-    A: IntegerSet,
-    h: int,
-    window: tuple[int, int] | None = None,
-    prefix_bound: int | None = None,
-) -> RepTable:
-    """Batch-compute r_{A,h}(n) for every n in the window.
-
-    ``prefix_bound=M`` asserts that A contains every element of the true
-    set up to M; counts are then exact for all n <= M.  Without it the set
-    is treated as complete and the exactness bound is h*max(A).
+def rep_table(A: IntegerSet, h: int, window: tuple[int, int] | None = None) -> RepTable:
+    """Batch-compute r_{A,h}(n) for every n in the window (default [0, h*max(A)]).
 
     Counts come from the certified FFT when it certifies its row, and
     otherwise from one checked 64-bit sweep, where a count above 2^64 - 1
@@ -324,27 +298,12 @@ def rep_table(
             f"window {window[0]}:{window[1]} lies outside [0, h*max(A)] = [0, {full}]; "
             f"every count outside that range is 0"
         )
-    if prefix_bound is not None:
-        if prefix_bound < 0:
-            raise ParameterError(f"prefix bound must be >= 0, got {prefix_bound}")
-        bound = prefix_bound
-    else:
-        bound = full
-
     row = _fft_row(A.elements, h, hi)
     if row is None:
         row = _sweep(A.elements, h, hi)[h]
     row = row[lo : hi + 1]
     row.flags.writeable = False
-    return RepTable(
-        base_set=A,
-        h=h,
-        lo=lo,
-        hi=hi,
-        row=row,
-        exactness_bound=bound,
-        trimmed=trimmed,
-    )
+    return RepTable(lo=lo, hi=hi, row=row, trimmed=trimmed)
 
 
 def _mask_to_elements(mask: int, limit: int) -> tuple[int, ...]:

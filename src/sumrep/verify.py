@@ -53,11 +53,15 @@ THEOREM_IDS = ("T1", "T2", "T3")
 
 @dataclass(frozen=True)
 class Mode:
-    """Exactness declaration for a finite set.
+    """Exactness declaration for a finite set, and the only place that
+    knows up to where its counts hold.
 
     ``complete``: the set is the whole set; counts are exact up to h*max(A).
     ``prefix(M)``: the set contains every element of the true set up to M
-    (caller's assertion); counts are exact for n <= M.
+    (caller's assertion); counts over the prefix are exact for n <= M,
+    because every summand of such an n is itself <= M, hence visible in the
+    prefix.  A count table may extend past that bound; its cells beyond it
+    are not trustworthy for the underlying set.
     """
 
     kind: str

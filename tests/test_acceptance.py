@@ -141,7 +141,7 @@ def test_c05_theorem3_pigeonhole():
     assert s == 11
     assert is_bhs(A20, 2, s, mode).holds
     n0 = min_threshold(A20, 3, 2, mode)
-    table = rep_table(A20, 3, window=(0, 20), prefix_bound=20)
+    table = rep_table(A20, 3, window=(0, 20))
     ell = min(c for n, c in table.items() if c >= 1 and n >= n0)
     assert ell == 2
     for k, members in blocks(A20, 3):
@@ -233,21 +233,23 @@ def test_c09_constructor_soundness():
 
 
 def test_c10_thread_cap_determinism(monkeypatch, capsys, tmp_path):
-    tables = {rep_table(RANGE50, 2, prefix_bound=50).csv_text() for _ in range(3)}
     reports = {
         run_theorem(RANGE50, "T1", h=2, mode=Mode.prefix(50)).to_json() for _ in range(3)
     }
     set_file = tmp_path / "range50.txt"
     set_file.write_text("".join(f"{a}\n" for a in RANGE50))
-    argv = ["theorem", "--id", "T1", "--h", "2", "--mode", "prefix:50",
-            "--set", str(set_file), "--format", "json", "--no-meta"]
-    outputs = set()
+    common = ["--h", "2", "--mode", "prefix:50", "--set", str(set_file), "--no-meta"]
+    theorem_argv = ["theorem", "--id", "T1", *common, "--format", "json"]
+    table_argv = ["rep", "--window", "0:50", *common, "--format", "csv"]
+    outputs, tables = set(), set()
     for cap in ("1", "2", "8"):
         monkeypatch.setenv("SUMREP_THREADS", cap)
-        assert main(argv) == 0
+        assert main(theorem_argv) == 0
         outputs.add(capsys.readouterr().out)
+        assert main(table_argv) == 0
+        tables.add(capsys.readouterr().out)
     assert len(tables) == 1
     assert len(reports) == 1
     assert len(outputs) == 1
-    _verdict(10, True, "rep_table and run_theorem byte-identical across runs; "
-                       "CLI theorem output byte-identical under SUMREP_THREADS 1, 2, 8")
+    _verdict(10, True, "run_theorem byte-identical across runs; CLI rep csv table and "
+                       "theorem output byte-identical under SUMREP_THREADS 1, 2, 8")

@@ -52,7 +52,7 @@ class TestRep:
         assert code == 2
         assert "exactly one" in err
 
-    def test_single_n_past_prefix_bound_rejected(self, capsys, range50):
+    def test_single_n_past_m_rejected(self, capsys, range50):
         code, out, err = run(capsys, "rep", "--h", "2", "--n", "60",
                              "--mode", "prefix:50", "--set", range50)
         assert code == 2
@@ -60,6 +60,59 @@ class TestRep:
         code, out, _ = run(capsys, "rep", "--h", "2", "--n", "50",
                            "--mode", "prefix:50", "--set", range50)
         assert code == 0 and out.strip() == "r=26"
+
+    @pytest.mark.parametrize("mode, bound", [("complete", 6), ("prefix:4", 4)])
+    def test_table_csv_header_names_the_exactness_bound(self, capsys, s123, mode, bound):
+        code, out, _ = run(capsys, "rep", "--h", "2", "--window", "2:4", "--mode", mode,
+                           "--set", s123, "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [f"# h=2 |A|=3 exactness_bound={bound}", "n,count",
+                                    "2,1", "3,1", "4,2"]
+
+    @pytest.mark.parametrize("mode, bound", [("complete", 100), ("prefix:50", 50)])
+    def test_table_json_exactness_bound(self, capsys, range50, mode, bound):
+        code, out, _ = run(capsys, "rep", "--h", "2", "--window", "0:100", "--mode", mode,
+                           "--set", range50, "--format", "json", "--no-meta")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["exactness_bound"] == bound
+        assert doc["window"] == [0, bound]
+        assert doc["trimmed"] is (bound < 100)
+        counts = dict(doc["counts"])
+        assert counts[50] == 26
+        assert counts.get(99) == (1 if mode == "complete" else None)  # 99 = 49 + 50 only
+
+    def test_window_cut_at_m(self, capsys, range50):
+        args = ("rep", "--h", "2", "--window", "40:60", "--mode", "prefix:50", "--set", range50)
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "# window trimmed to [40, 50]"
+        assert lines[1:] == [f"{n} {n // 2 + 1}" for n in range(40, 51)]
+        code, out, _ = run(capsys, *args, "--format", "json", "--no-meta")
+        doc = json.loads(out)
+        assert (doc["window"], doc["trimmed"], doc["exactness_bound"]) == ([40, 50], True, 50)
+        assert [n for n, _ in doc["counts"]] == list(range(40, 51))
+
+    def test_window_starting_past_m_rejected(self, capsys, range50):
+        code, out, err = run(capsys, "rep", "--h", "2", "--window", "60:70",
+                             "--mode", "prefix:50", "--set", range50)
+        assert code == 2
+        assert out == "" and err.splitlines() == [
+            "error: window 60:70 starts past the exactness bound 50"
+        ]
+
+    def test_window_inside_m_untouched(self, capsys, range50):
+        code, out, _ = run(capsys, "rep", "--h", "2", "--window", "0:50",
+                           "--mode", "prefix:50", "--set", range50)
+        assert code == 0
+        assert out.splitlines() == [f"{n} {n // 2 + 1}" for n in range(51)]
+
+    def test_single_n_has_no_csv_form(self, capsys, s123):
+        code, out, err = run(capsys, "rep", "--h", "2", "--n", "4", "--set", s123,
+                             "--format", "csv")
+        assert code == 2
+        assert out == "" and "no csv form" in err
 
     def test_window_above_the_sums_rejected(self, capsys, s123):
         code, out, err = run(capsys, "rep", "--h", "2", "--window", "100:200", "--set", s123)
@@ -211,6 +264,22 @@ class TestOtherCommands:
         assert target.read_text().strip() == "r=2"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sumset", "--h", "2"],
+    ["bhs", "--h", "2", "--s", "1"],
+    ["premise", "--h", "2", "--ell", "2"],
+    ["blocks", "--h", "2"],
+    ["construct", "--ell", "2", "--T", "20"],
+    ["selftest", "--trials", "1"],
+], ids=lambda argv: argv[0])
+def test_csv_only_where_a_csv_exists(capsys, s123, argv):
+    if argv[0] not in ("construct", "selftest"):
+        argv = [*argv, "--set", s123]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 2
+    assert out == "" and "invalid choice: 'csv'" in err
+
+
 class TestErrors:
     def test_malformed_set_file_line_number(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -323,3 +392,26 @@ class TestBadInputFiles:
     def test_log_wrongly_typed_field(self, capsys, tmp_path, log_doc):
         log_doc["n0"] = "z"
         assert "'z'" in self._density(capsys, tmp_path, log_doc)
+
+    def test_log_certified_not_a_bool(self, capsys, tmp_path, log_doc):
+        log_doc["certified"] = "no"
+        err = self._density(capsys, tmp_path, log_doc)
+        assert "TypeError: certified must be true or false, got 'no'" in err
+
+    def test_log_certified_with_zero_watermark(self, capsys, tmp_path, log_doc):
+        log_doc["watermark"] = 0
+        assert "ValueError: watermark 0" in self._density(capsys, tmp_path, log_doc)
+
+    def test_log_certified_with_n0_past_the_watermark(self, capsys, tmp_path, log_doc):
+        log_doc["n0"] = log_doc["watermark"] + 1
+        assert "0 <= n0 <= watermark" in self._density(capsys, tmp_path, log_doc)
+
+    def test_log_empty_density_curve(self, capsys, tmp_path, log_doc):
+        log_doc["density_curve"] = []
+        err = self._density(capsys, tmp_path, log_doc)
+        assert "density_curve must end at the horizon 200" in err
+
+    def test_log_watermark_not_half_the_horizon(self, capsys, tmp_path, log_doc):
+        # otherwise a certified log with horizon 1 leaves density no row at x >= 2
+        log_doc["horizon"], log_doc["density_curve"] = 1, [[1, 1]]
+        assert "is not floor(horizon/2)" in self._density(capsys, tmp_path, log_doc)

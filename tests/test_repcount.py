@@ -120,17 +120,8 @@ class TestRepTable:
         assert dict(t.items()) == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
         assert t.total() == math.comb(4, 2)
 
-    def test_prefix_semantics(self):
-        A = from_values(range(51))
-        t = rep_table(A, 2, prefix_bound=50)
-        assert t.exactness_bound == 50
-        # the table extends beyond the trustworthy window; 99 = 49+50 only
-        assert t.count(99) == 1
-        assert 99 > t.exactness_bound
-
     def test_complete_bound_defaults(self):
         t = rep_table(from_values([1, 5]), 2)
-        assert t.exactness_bound == 10
         assert (t.lo, t.hi) == (0, 10)
 
     def test_window_trimmed_with_flag(self):
@@ -174,14 +165,6 @@ class TestRepTable:
     def test_support(self):
         t = rep_table(from_values([1, 3]), 2)
         assert t.support() == (2, 4, 6)
-
-    def test_csv_format(self):
-        t = rep_table(from_values([1, 2, 3]), 2, window=(2, 4), prefix_bound=3)
-        text = t.csv_text()
-        lines = text.splitlines()
-        assert lines[0] == "# h=2 |A|=3 exactness_bound=3"
-        assert lines[1] == "n,count"
-        assert lines[2:] == ["2,1", "3,1", "4,2"]
 
     @given(st.frozensets(st.integers(0, 60), min_size=1, max_size=10), st.integers(2, 5))
     def test_total_is_multiset_count(self, values, h):
