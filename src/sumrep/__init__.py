@@ -4,6 +4,11 @@ Public surface: canonical integer sets and base-h blocks (``intset``),
 the exact counting engine with its brute-force oracle (``repcount``),
 premise/certificate/bound verification (``verify``), the greedy repair
 constructor (``construct``), and the command-line front end (``cli``).
+
+Each fact of a theorem run has one producer: the least threshold is
+``check_premise(A, h, ell, None, mode).n0`` when that report holds, the
+witnesses are the ``block_growth_check`` rows (``TheoremReport.witnesses()``
+collects them), and w0 is ``run_theorem(...).w0``.
 """
 
 from .construct import ConstructionLog, DensityReport, density_report, greedy_repair
@@ -39,16 +44,12 @@ from .verify import (
     TheoremReport,
     Witness,
     block_growth_check,
-    bound_value,
     check_premise,
     compute_k0,
     distinct_tops,
     is_bhs,
-    min_threshold,
     run_theorem,
     verify_counting_bound,
-    w0_value,
-    witness_certificate,
 )
 
 __version__ = "0.1.0"

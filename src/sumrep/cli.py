@@ -10,6 +10,7 @@ suppressed with --no-meta.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -70,7 +71,9 @@ def _common(sub: argparse.ArgumentParser, with_set: bool = True,
     return fmt
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="sumrep",
         description="Exact h-fold representation counts, B_{h,s} checks, and "

@@ -224,19 +224,18 @@ def greedy_repair(
 
     for a in seed.elements:
         insert(a)
-    for n in range(0, watermark + 1):
-        if counts[n]:
-            repair(n)
-    # a sum the scan passed at count 0 may have gained a short count since
-    while True:
+    # the first pass scans every sum; a sum it passed at count 0 may have
+    # gained a short count since, so each later pass takes the short sums
+    # not yet failed (counts only grow, so each is still nonzero)
+    todo = range(watermark + 1)
+    while todo:
+        for n in todo:
+            if counts[n]:
+                repair(n)
         failed = {n for n, _ in failures}
         window = counts[: watermark + 1]
-        short = [n for n in np.flatnonzero((window > 0) & (window < ell)).tolist()
-                 if n not in failed]
-        if not short:
-            break
-        for n in short:
-            repair(n)
+        todo = [n for n in np.flatnonzero((window > 0) & (window < ell)).tolist()
+                if n not in failed]
 
     final = from_values(ordered)
     report = check_premise(final, 2, ell, None, Mode.prefix(watermark))

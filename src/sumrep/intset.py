@@ -87,13 +87,6 @@ class BlockDecomposition:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def block(self, k: int) -> IntegerSet:
-        """Members of block k (empty set if the block is empty)."""
-        for kk, members in self.entries:
-            if kk == k:
-                return members
-        return IntegerSet(())
-
     def block_sizes(self) -> dict[int, int]:
         return {k: len(members) for k, members in self.entries}
 

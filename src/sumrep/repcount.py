@@ -5,7 +5,7 @@ count).  Independent routes exist on purpose:
 
   * ``rep_count_naive``: exhaustive recursive enumeration, the correctness
     oracle for everything else;
-  * ``rep_count``: memoized recursion on the number of summands left, fast
+  * ``rep_count``: a memo over (summands left, sum) without recursion, fast
     for single n and the only route whose cost does not grow with max(A);
   * ``rep_table``: a whole window at once, from a certified float FFT,
     O(h^2 * W log W), when the FFT can prove its row exact, and otherwise
@@ -67,11 +67,11 @@ def rep_count_naive(A: IntegerSet, h: int, n: int) -> int:
 def rep_count(A: IntegerSet, h: int, n: int) -> int:
     """Exact r_{A,h}(n): nondecreasing h-tuples over A summing to n.
 
-    Recursion depth is at most h: each level picks the index of the
-    smallest remaining summand.  Each (summands left, sum) pair is solved
-    once, for every starting index at once (suffix sums), in O(|A|) steps;
-    there are at most h*n such pairs and at most |A|^(h-2) per level, so
-    huge elements on a sparse set cost nothing extra.
+    Each (summands left, sum) state is solved once, for every index of the
+    smallest summand at once (suffix sums), in O(|A|) steps.  The states are
+    gathered from h summands down to 2 and solved from 2 up, so nothing
+    recurses; there are at most h*n states and at most |A|^(h-2) per level,
+    so huge elements on a sparse set cost nothing extra.
     """
     if h < 1:
         raise ParameterError(f"h must be >= 1, got {h}")
@@ -79,26 +79,34 @@ def rep_count(A: IntegerSet, h: int, n: int) -> int:
         return 0
     els = A.elements
     top = els[-1]
-    memo: dict[tuple[int, int], tuple[int, list[int]]] = {}
 
-    def go(i: int, left: int, s: int) -> int:
-        """Nondecreasing `left`-tuples over els[i:] summing to s."""
-        if left == 1:
-            return 1 if s >= els[i] and s in A else 0
-        found = memo.get((left, s))
-        if found is None:
-            # smallest summand els[t]: the other left-1 are in [els[t], top]
-            lo = bisect_left(els, s - (left - 1) * top)
-            hi = bisect_right(els, s // left)
-            tail = [0] * (max(hi - lo, 0) + 1)
-            for t in range(hi - 1, lo - 1, -1):
-                tail[t - lo] = tail[t - lo + 1] + go(t, left - 1, s - els[t])
-            found = memo[(left, s)] = (lo, tail)
-        lo, tail = found
-        k = max(i, lo) - lo
-        return tail[k] if k < len(tail) else 0
+    def starts(left: int, s: int) -> range:
+        # smallest summand els[t]: the other left-1 are in [els[t], top]
+        return range(bisect_left(els, s - (left - 1) * top), bisect_right(els, s // left))
 
-    return go(0, h, n)
+    levels = [{n}]  # levels[h - left]: the sums that `left` summands must reach
+    for left in range(h, 2, -1):
+        levels.append({s - els[t] for s in levels[-1] for t in starts(left, s)})
+    members = frozenset(els)
+    memo: dict[int, tuple[int, list[int]]] = {}  # sum -> (first start, suffix counts)
+    for left in range(2, h + 1):
+        below, memo = memo, {}
+        for s in levels.pop():
+            span = starts(left, s)
+            acc, tail = 0, [0]
+            for t in reversed(span):
+                rest = s - els[t]
+                if left == 2:  # rest >= els[t], since els[t] <= s/2
+                    acc += rest in members
+                elif rest in below:
+                    lo, counts = below[rest]
+                    k = t - lo if t > lo else 0
+                    if k < len(counts):
+                        acc += counts[k]
+                tail.append(acc)
+            tail.reverse()
+            memo[s] = (span.start, tail)
+    return memo[n][1][0] if h > 1 else int(n in members)
 
 
 def _sweep(
@@ -249,10 +257,6 @@ class RepTable:
     row: np.ndarray
     trimmed: bool
 
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(self.row.tolist())
-
     def count(self, n: int) -> int:
         if not (self.lo <= n <= self.hi):
             raise WindowError(f"n={n} outside table window [{self.lo}, {self.hi}]")
@@ -260,10 +264,6 @@ class RepTable:
 
     def items(self) -> Iterator[tuple[int, int]]:
         return enumerate(self.row.tolist(), start=self.lo)
-
-    def support(self) -> tuple[int, ...]:
-        """All n in the window with a positive count (members of hA)."""
-        return tuple((np.flatnonzero(self.row) + self.lo).tolist())
 
     def total(self) -> int:
         return sum(self.row.tolist())  # Python ints: a total can pass 2^64

@@ -220,13 +220,6 @@ def check_premise(
     )
 
 
-def min_threshold(A: IntegerSet, h: int, ell: int, mode: Mode = Mode.complete()) -> int | None:
-    """Least n0 making check_premise pass on [n0, bound]; None if even the
-    window's top sum violates (no nonempty suffix passes)."""
-    report = check_premise(A, h, ell, None, mode)
-    return report.n0 if report.holds else None
-
-
 def compute_k0(A: IntegerSet, h: int, n0: int) -> int:
     """Block index of the smallest positive a0 in A with h*a0 >= n0."""
     if h < 2:
@@ -336,37 +329,6 @@ def _witness(A: IntegerSet, h: int, k: int, a_star: int, top: int) -> Witness:
     )
     witness.validate(A, h)
     return witness
-
-
-def witness_certificate(
-    A: IntegerSet, h: int, k: int, mode: Mode = Mode.complete()
-) -> Witness:
-    """Produce and re-validate a witness for block k: a non-diagonal
-    representation of h*a_k* whose top summand lies in block k+1.
-
-    Deterministic: the least of ``distinct_tops(A, h, h*a_k*)``, then its
-    lexicographically least completion.  No distinct top falsifies the
-    premise at n = h*a_k* (or indicates the window was misused).
-    """
-    if h < 2:
-        raise ParameterError(f"h must be >= 2, got {h}")
-    members = blocks(A, h).block(k)
-    if not members:
-        raise CertificateError(f"block k={k} is empty")
-    a_star = members.max_element
-    target = h * a_star
-    bound = mode.exactness_bound(A, h)
-    if target > bound:
-        raise WindowError(
-            f"h*a_k* = {target} exceeds the exactness bound {bound}; block {k} unverifiable"
-        )
-    tops = distinct_tops(A, h, target, mode)
-    if not tops:
-        raise CertificateError(
-            f"no non-diagonal representation of {target} = {h}*a_{k}*; "
-            f"premise fails at n={target} or window misused"
-        )
-    return _witness(A, h, k, a_star, tops.elements[0])
 
 
 def distinct_tops(
@@ -488,9 +450,11 @@ def block_growth_check(
     force).  K_max is the largest k whose target h*a_k* stays inside the
     exactness window; the row at K_max+1 is certified by K_max's tops, and
     nonempty blocks beyond that are reported unverifiable, never failed.
-    Each in-window row's witness is read off its distinct tops (the least
-    top and its lexicographically least completion), so it is the one
-    ``witness_certificate`` returns, without a second search.
+    Each in-window row's witness is read off its distinct tops: the least
+    top and its lexicographically least completion, a re-validated
+    non-diagonal representation of h*a_k* with its top in block k+1.  A
+    row with no distinct top has no witness; the premise then fails at
+    n = h*a_k*.
     """
     if ell < 2:
         raise ParameterError(f"ell must be >= 2, got {ell}")
@@ -620,23 +584,6 @@ def _bound_holds(terms: tuple[int, int, int, int], count: int, x: int) -> bool:
 def _bound_float(terms: tuple[int, int, int, int], x: int) -> float:
     h, coef, den, num = terms
     return coef * math.log(x) / (den * math.log(h)) - num / den
-
-
-def w0_value(theorem_id: str, h: int, ell: int, s: int | None, k0: int) -> Fraction:
-    """The bound offset: T1: k0; T2: (ell-1)(k0+1); T3: (ell-1)(k0+1)/s."""
-    _, _, den, num = _bound_terms(theorem_id, h, ell, s, k0)
-    return Fraction(num, den)
-
-
-def bound_value(
-    theorem_id: str, h: int, ell: int, s: int | None, k0: int, x: int
-) -> float:
-    """The logarithmic lower-bound value at x (double precision, reported
-    only; verdicts come from the exact comparison)."""
-    terms = _bound_terms(theorem_id, h, ell, s, k0)
-    if x < terms[0]:
-        raise ParameterError(f"bound defined only for x >= h, got x={x}")
-    return _bound_float(terms, x)
 
 
 class BoundCheck(NamedTuple):
@@ -824,7 +771,8 @@ def run_theorem(
     The verdict is pass only when the premise holds on the window and every
     conclusion check passes.  T3 additionally requires the B_{h-1,s}
     premise and checks the per-block pigeonhole; its premise is checked
-    with h-fold counts.
+    with h-fold counts.  A premise holding on a window with no sum of hA
+    raises WindowError, so that a fail stays a mathematical "no".
     """
     h, ell, s = _normalize_params(theorem_id, h, ell, s)
     if x_max is not None and x_max < h:
@@ -838,7 +786,11 @@ def run_theorem(
     if premise.holds:
         n0 = premise.n0
         k0 = compute_k0(A, h, n0)
-        w0 = w0_value(theorem_id, h, ell, s, k0)
+        if not premise.checked_count:
+            raise WindowError(f"premise window [{n0}, {bound}] ({mode.label()}) holds no "
+                              f"sum of {h}A; the theorem checks nothing")
+        _, coef, den, num = _bound_terms(theorem_id, h, ell, s, k0)
+        w0 = Fraction(num, den)
     else:
         failures.append("premise")
         n0 = k0 = w0 = None
@@ -868,7 +820,6 @@ def run_theorem(
                 failures.append("bounds")
 
             # at x = h^(t+1) the exponent of x**coef is exactly coef*(t+1)
-            _, coef, den, num = _bound_terms(theorem_id, h, ell, s, k0)
             checks = []
             t, power = 1, h
             while power <= effective_x_max:

@@ -19,7 +19,6 @@ from sumrep.verify import (
     check_premise,
     distinct_tops,
     is_bhs,
-    min_threshold,
     run_theorem,
     verify_counting_bound,
 )
@@ -140,7 +139,7 @@ def test_c05_theorem3_pigeonhole():
     s = rep_table(A20, 2).max_count()
     assert s == 11
     assert is_bhs(A20, 2, s, mode).holds
-    n0 = min_threshold(A20, 3, 2, mode)
+    n0 = check_premise(A20, 3, 2, None, mode).n0
     table = rep_table(A20, 3, window=(0, 20))
     ell = min(c for n, c in table.items() if c >= 1 and n >= n0)
     assert ell == 2

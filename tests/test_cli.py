@@ -47,6 +47,12 @@ class TestRep:
         assert "n,count" in out
         assert "4,2" in out
 
+    def test_single_n_past_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text("0\n5\n")
+        code, out, _ = run(capsys, "rep", "--h", "1200", "--n", "5", "--set", str(path))
+        assert (code, out) == (0, "r=1\n")
+
     def test_requires_exactly_one_target(self, capsys, s123):
         code, _, err = run(capsys, "rep", "--h", "2", "--set", s123)
         assert code == 2
@@ -179,6 +185,20 @@ class TestTheorem:
                              "--x-max", "2", "--mode", mode, "--set", sidon)
         assert (code, out) == (2, "")
         assert "x_max=2 below x >= h = 4" in err
+
+    @pytest.mark.parametrize("values, mode, window", [
+        ("0\n10\n", "prefix:15", "[11, 15]"),
+        ("5\n", "prefix:0", "[0, 0]"),
+    ])
+    def test_vacuous_premise_window_is_an_input_error(self, capsys, tmp_path, values, mode,
+                                                      window):
+        path = tmp_path / "set.txt"
+        path.write_text(values)
+        code, out, err = run(capsys, "theorem", "--id", "T1", "--mode", mode,
+                             "--set", str(path), "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == (f"error: premise window {window} ({mode}) holds no sum of 2A; "
+                       f"the theorem checks nothing\n")
 
     def test_csv_export(self, capsys, range50):
         code, out, _ = run(capsys, "theorem", "--id", "T1", "--h", "2",

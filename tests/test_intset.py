@@ -108,9 +108,9 @@ class TestBlocks:
             blocks(from_values([1]), 1)
 
     def test_block_lookup(self):
-        d = blocks(from_values([1, 2, 3]), 2)
-        assert d.block(2).elements == (2, 3)
-        assert d.block(7).elements == ()
+        members = dict(blocks(from_values([1, 2, 3]), 2).entries)
+        assert members[2].elements == (2, 3)
+        assert 7 not in members
 
     @given(small_sets, st.integers(2, 7))
     def test_partition(self, values, h):

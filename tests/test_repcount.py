@@ -64,6 +64,12 @@ class TestRepCount:
         # one frame per element would exceed the interpreter's recursion limit
         assert rep_count(from_values(range(3001)), 3, 3000) == 751501
 
+    @pytest.mark.parametrize("h", [1200, 5000])
+    def test_no_recursion_past_the_interpreter_limit(self, h):
+        # h summands of {0, 5} reach 5j in one way (j fives) and nothing else
+        A = from_values([0, 5])
+        assert [rep_count(A, h, n) for n in (5, 7, 10, 5 * h, 5 * h + 5)] == [1, 0, 1, 1, 0]
+
     def test_huge_elements_on_sparse_set(self):
         A = from_values([0] + [2**k for k in range(61)])
         assert rep_count(A, 2, 2**60) == 2  # 0 + 2^60 and 2^59 + 2^59
@@ -152,7 +158,7 @@ class TestRepTable:
         t = rep_table(from_values([1, 2, 3]), 2, window=(3, 5))
         assert t.row.dtype == np.uint64
         assert t.row.tolist() == [1, 2, 1]
-        assert t.values == (1, 2, 1)
+        assert list(t.items()) == [(3, 1), (4, 2), (5, 1)]
         assert type(t.count(4)) is int and type(t.max_count()) is int
         with pytest.raises(ValueError):
             t.row[0] = 7
@@ -164,7 +170,7 @@ class TestRepTable:
 
     def test_support(self):
         t = rep_table(from_values([1, 3]), 2)
-        assert t.support() == (2, 4, 6)
+        assert [n for n, c in t.items() if c] == [2, 4, 6]
 
     @given(st.frozensets(st.integers(0, 60), min_size=1, max_size=10), st.integers(2, 5))
     def test_total_is_multiset_count(self, values, h):
@@ -209,7 +215,7 @@ class TestFftRoute:
 
         monkeypatch.setattr(np.fft, "irfft", tampered)
         assert _fft_row(A.elements, 2, 114) is None
-        assert list(rep_table(A, 2).values) == expected
+        assert rep_table(A, 2).row.tolist() == expected
 
     def test_total_past_2_53_declines_before_any_transform(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -276,7 +282,7 @@ class TestArbitraryPrecisionPath:
         A = from_values(range(n + 1))
         table = rep_table(A, n, window=(0, n))
         expected = _partition_counts(n)
-        assert list(table.values) == expected
+        assert table.row.tolist() == expected
 
     def test_first_count_past_u64_raises(self):
         # with 0 in A and n <= max(A), r_{A,h}(n) counts partitions of n
@@ -286,7 +292,7 @@ class TestArbitraryPrecisionPath:
         first = next(n for n, c in enumerate(expected) if c > U64_MAX)
         A = from_values(range(first + 1))
         below = rep_table(A, h, window=(0, first - 1))
-        assert list(below.values) == expected[:first]
+        assert below.row.tolist() == expected[:first]
         with pytest.raises(CountOverflowError):
             rep_table(A, h, window=(0, first))
 

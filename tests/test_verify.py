@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
@@ -24,16 +25,12 @@ from sumrep.verify import (
     _bound_terms,
     _exponents,
     block_growth_check,
-    bound_value,
     check_premise,
     compute_k0,
     distinct_tops,
     is_bhs,
-    min_threshold,
     run_theorem,
     verify_counting_bound,
-    w0_value,
-    witness_certificate,
 )
 
 RANGE50 = from_values(range(51))
@@ -116,23 +113,28 @@ class TestCheckPremise:
 
 
 class TestMinThreshold:
+    """The least threshold is check_premise's n0 when its report holds."""
+
     def test_ell2(self):
-        assert min_threshold(RANGE50, 2, 2, Mode.prefix(50)) == 2
+        report = check_premise(RANGE50, 2, 2, None, Mode.prefix(50))
+        assert report.holds and report.n0 == 2
 
     def test_ell3(self):
-        assert min_threshold(RANGE50, 2, 3, Mode.prefix(50)) == 4
+        report = check_premise(RANGE50, 2, 3, None, Mode.prefix(50))
+        assert report.holds and report.n0 == 4
 
     def test_sidon_none(self):
-        assert min_threshold(SIDON, 2, 2, Mode.complete()) is None
+        assert not check_premise(SIDON, 2, 2, None, Mode.complete()).holds
 
     def test_no_violations_gives_zero(self):
         # every sum of {0, 1, 2} has two representations except 0, 1;
         # with ell=2 on a window past them the threshold is their successor
-        assert min_threshold(from_values([0, 1, 2]), 2, 2, Mode.prefix(2)) == 2
+        report = check_premise(from_values([0, 1, 2]), 2, 2, None, Mode.prefix(2))
+        assert report.holds and report.n0 == 2
 
     def test_found_threshold_passes(self):
         for ell in (2, 3, 4):
-            n0 = min_threshold(RANGE50, 2, ell, Mode.prefix(50))
+            n0 = check_premise(RANGE50, 2, ell, None, Mode.prefix(50)).n0
             assert check_premise(RANGE50, 2, ell, n0, Mode.prefix(50)).holds
             if n0 > 0:
                 report = check_premise(RANGE50, 2, ell, n0 - 1, Mode.prefix(50))
@@ -155,9 +157,16 @@ class TestComputeK0:
         assert compute_k0(from_values([0, 4]), 2, 0) == 3
 
 
+def growth_rows(A, h, mode=Mode.complete(), k0=1):
+    """Rows by block of the ell=2 growth table anchored at block k0."""
+    return {e.k: e for e in block_growth_check(A, h, 2, None, k0, mode).entries}
+
+
 class TestWitnessCertificate:
+    """Witnesses are read off the rows of block_growth_check."""
+
     def test_h2_example(self):
-        w = witness_certificate(RANGE50, 2, 3, Mode.prefix(50))
+        w = growth_rows(RANGE50, 2, Mode.prefix(50))[3].witness
         assert w.a_star == 7
         assert w.target == 14
         assert w.representation == (6, 8)
@@ -167,7 +176,7 @@ class TestWitnessCertificate:
 
     def test_h3_blocks_use_base_h(self):
         # base-3 blocks: block 2 = [3, 9), so a_2* = 8 and the target is 24
-        w = witness_certificate(RANGE50, 3, 2, Mode.prefix(50))
+        w = growth_rows(RANGE50, 3, Mode.prefix(50))[2].witness
         assert w.a_star == 8
         assert w.target == 24
         assert w.representation == (6, 9, 9)
@@ -176,19 +185,25 @@ class TestWitnessCertificate:
         w.validate(RANGE50, 3)
 
     def test_diagonal_only_fails(self):
-        with pytest.raises(CertificateError):
-            witness_certificate(SIDON, 2, 2)  # 6 = 3+3 only, diagonal
+        row = growth_rows(SIDON, 2)[2]  # 6 = 3+3 only, diagonal
+        assert row.target == 6
+        assert row.witness is None and row.tops == ()
+        assert not row.ok
 
     def test_beyond_window_rejected(self):
-        with pytest.raises(WindowError):
-            witness_certificate(RANGE50, 2, 6, Mode.prefix(50))  # 2*50 > 50
+        growth = block_growth_check(RANGE50, 2, 2, None, 1, Mode.prefix(50))
+        assert growth.k_max == 4  # 2*a_5* = 62 > 50
+        assert growth.entries[-1].k == 5
+        assert growth.entries[-1].target is None and growth.entries[-1].witness is None
+        assert (6, 19) in growth.unverifiable  # 2*50 > 50
 
     def test_empty_block(self):
-        with pytest.raises(CertificateError, match="empty"):
-            witness_certificate(from_values([1, 9]), 2, 2)
+        row = growth_rows(from_values([1, 9]), 2)[2]
+        assert row.size == 0 and row.a_star is None and row.witness is None
+        assert not row.size_ok
 
     def test_validation_rejects_tampering(self):
-        w = witness_certificate(RANGE50, 2, 3, Mode.prefix(50))
+        w = growth_rows(RANGE50, 2, Mode.prefix(50))[3].witness
         with pytest.raises(CertificateError):  # diagonal
             replace(w, representation=(7, 7)).validate(RANGE50, 2)
         with pytest.raises(CertificateError):  # top element mismatch
@@ -205,14 +220,15 @@ class TestWitnessCertificate:
     def test_succeeds_on_every_block_of_dense_prefixes(self, m, h):
         A = from_values(range(m + 1))
         mode = Mode.prefix(m)
-        n0 = min_threshold(A, h, 2, mode)
-        assert n0 is not None
-        k0 = compute_k0(A, h, n0)
+        premise = check_premise(A, h, 2, None, mode)
+        assert premise.holds
+        k0 = compute_k0(A, h, premise.n0)
+        rows = growth_rows(A, h, mode, k0)
         bound = mode.exactness_bound(A, h)
         for k, members in blocks(A, h):
             if k < k0 or h * members.max_element > bound:
                 continue
-            w = witness_certificate(A, h, k, mode)
+            w = rows[k].witness
             w.validate(A, h)
             assert w.top_block == k + 1
 
@@ -224,22 +240,19 @@ class TestWitnessCertificate:
         if not len(decomposition):
             return
         # complete mode: every block's target is in the window, so each has a row
-        growth = block_growth_check(A, h, 2, None, decomposition.entries[0][0])
-        rows = {e.k: e for e in growth.entries}
+        rows = growth_rows(A, h, k0=decomposition.entries[0][0])
         for k, members in decomposition:
             target = h * members.max_element
             reps = [t for t in combinations_with_replacement(sorted(values), h)
                     if sum(t) == target and t[0] < t[-1]]
             if not reps:
-                with pytest.raises(CertificateError, match="no non-diagonal"):
-                    witness_certificate(A, h, k)
                 assert rows[k].witness is None
                 continue
-            w = witness_certificate(A, h, k)
+            w = rows[k].witness
+            w.validate(A, h)
             top = min(t[-1] for t in reps)
             assert w.top_element == top
             assert w.representation == min(t for t in reps if t[-1] == top)
-            assert rows[k].witness == w
 
 
 class TestDistinctTops:
@@ -264,33 +277,47 @@ class TestDistinctTops:
         assert got == multiset_tops(values, h, min(n, h * A.max_element))
 
 
+def bound_at(theorem_id, h, ell, s, k0, x):
+    """The reported bound value at x, read off the x_max row of the table."""
+    row = verify_counting_bound(RANGE50, theorem_id, h, ell, s, k0, x).checks[-1]
+    assert row.x == x
+    return row.bound
+
+
 class TestBoundValue:
     def test_t1_exact_power(self):
-        assert bound_value("T1", 2, 2, None, 1, 16) == pytest.approx(3.0, abs=1e-12)
+        assert bound_at("T1", 2, 2, None, 1, 16) == pytest.approx(3.0, abs=1e-12)
 
     def test_t2(self):
-        assert bound_value("T2", 2, 3, None, 2, 1024) == pytest.approx(14.0, abs=1e-12)
+        assert bound_at("T2", 2, 3, None, 2, 1024) == pytest.approx(14.0, abs=1e-12)
 
     def test_t3(self):
-        assert bound_value("T3", 3, 4, 2, 1, 27) == pytest.approx(1.5, abs=1e-12)
+        assert bound_at("T3", 3, 4, 2, 1, 27) == pytest.approx(1.5, abs=1e-12)
 
     def test_w0_formulas(self):
-        assert w0_value("T1", 2, 2, None, 5) == 5
-        assert w0_value("T2", 2, 3, None, 2) == 6
-        assert w0_value("T3", 3, 4, 2, 1) == Fraction(3)
-        assert w0_value("T3", 3, 2, 11, 1) == Fraction(2, 11)
+        def w0(*params):
+            _, _, den, num = _bound_terms(*params)
+            return Fraction(num, den)
+
+        assert w0("T1", 2, 2, None, 5) == 5
+        assert w0("T2", 2, 3, None, 2) == 6
+        assert w0("T3", 3, 4, 2, 1) == Fraction(3)
+        assert w0("T3", 3, 2, 11, 1) == Fraction(2, 11)
+        # run_theorem reports the same offset at its anchor: n0=2, k0=1
+        report = run_theorem(RANGE50, "T3", h=3, ell=2, s=11, mode=Mode.prefix(50))
+        assert (report.k0, report.w0) == (1, Fraction(2, 11))
 
     def test_parameter_consistency(self):
         with pytest.raises(ParameterError):
-            bound_value("T1", 2, 3, None, 1, 8)  # T1 is the ell=2 bound
+            _bound_terms("T1", 2, 3, None, 1)  # T1 is the ell=2 bound
         with pytest.raises(ParameterError):
-            bound_value("T2", 3, 3, None, 1, 9)  # T2 requires h=2
+            _bound_terms("T2", 3, 3, None, 1)  # T2 requires h=2
         with pytest.raises(ParameterError):
-            bound_value("T3", 2, 3, None, 1, 8)  # T3 needs s
+            _bound_terms("T3", 2, 3, None, 1)  # T3 needs s
+        with pytest.raises(WindowError, match="below x >= h"):
+            bound_at("T1", 2, 2, None, 1, 1)  # x below h
         with pytest.raises(ParameterError):
-            bound_value("T1", 2, 2, None, 1, 1)  # x below h
-        with pytest.raises(ParameterError):
-            bound_value("T9", 2, 2, None, 1, 4)
+            _bound_terms("T9", 2, 2, None, 1)
 
 
 class TestVerifyCountingBound:
@@ -605,6 +632,17 @@ class TestRunTheorem:
         assert (3, 4) in report.block_checks.unverifiable
         assert report.verdict
 
+    @pytest.mark.parametrize("values, bound, window", [
+        ([0, 10], 15, "[11, 15] (prefix:15)"),  # sums 0, 10 are short; none in [11, 15]
+        ([5], 0, "[0, 0] (prefix:0)"),  # r(0) = 0: the window holds no sum
+    ])
+    def test_vacuous_premise_window_is_an_input_error(self, values, bound, window):
+        A = from_values(values)
+        premise = check_premise(A, 2, 2, None, Mode.prefix(bound))
+        assert premise.holds and premise.checked_count == 0
+        with pytest.raises(WindowError, match=rf"premise window {re.escape(window)} holds no sum"):
+            run_theorem(A, "T1", h=2, mode=Mode.prefix(bound))
+
     def test_empty_prefix_propagates_anchor_error(self):
         with pytest.raises(PrefixTooShortError):
             run_theorem(from_values([]), "T1", h=2)
@@ -616,17 +654,17 @@ class TestRunTheorem:
         every verified doubling target, all landing in the next block."""
         A = from_values(range(m + 1))
         mode = Mode.prefix(m)
-        n0 = min_threshold(A, 2, ell, mode)
-        if n0 is None:
+        premise = check_premise(A, 2, ell, None, mode)
+        if not premise.holds:
             return
-        k0 = compute_k0(A, 2, n0)
+        k0 = compute_k0(A, 2, premise.n0)
         for k, members in blocks(A, 2):
             if k < k0 or 2 * members.max_element > m:
                 continue
             tops = distinct_tops(A, 2, 2 * members.max_element, mode)
             assert len(tops) >= ell - 1
             assert all(block_of(b, 2) == k + 1 for b in tops)
-            next_block = blocks(A, 2).block(k + 1)
+            next_block = dict(blocks(A, 2).entries)[k + 1]
             assert all(b in next_block for b in tops)
 
 
