@@ -1,6 +1,6 @@
 """Golden bytes: exit code, stdout, stderr and written files of ``cli.main``.
 
-Each case runs one command with ``--no-meta`` on one of three small fixed
+Each case runs one command with ``--no-meta`` on one of the small fixed
 sets and compares every byte with ``tests/golden/<case>.txt``.  A change
 that alters any output byte must rewrite the golden files on purpose:
 
@@ -22,6 +22,8 @@ SETS = {
     "dense": range(31),
     "sidon": [0, 1, 3, 7, 12, 20],
     "mixed": [0, 1, 2, 3, 5, 8, 9, 13, 16, 21, 27, 34, 40],
+    "thousand": range(1000),
+    "seed-at-w": [0, 1, 100],  # max = W = floor(201/2): its first insert reaches past W
 }
 
 # a log that density cases read: written by this construct call first
@@ -64,11 +66,17 @@ CASES = {
                ("json", "text", "csv")),
     **_formats("rep-window-cut", ["rep", "--h", "2", "--window", "10:50", "--mode", "prefix:30",
                                   "--set", "dense"], ("json", "text", "csv")),
+    # counts near 1.29e18, between 2^53 and 2^64
+    **_formats("rep-window-h9", ["rep", "--h", "9", "--window", "4490:4500",
+                                 "--set", "thousand"], ("json", "text", "csv")),
     **_formats("sumset", ["sumset", "--h", "2", "--set", "mixed"], ("json", "text")),
     **_formats("blocks", ["blocks", "--h", "2", "--set", "mixed"], ("json", "text")),
     **_formats("construct", LOG, ("json", "text")),
     **_formats("construct-ell3", ["construct", "--ell", "3", "--T", "120", "--log-out", "{log}"],
                ("json", "text")),
+    **_formats("construct-largest-odd", ["construct", "--ell", "2", "--T", "201",
+                                         "--strategy", "largest-new", "--seed-set", "seed-at-w",
+                                         "--log-out", "{log}"], ("json", "text")),
     **_formats("density", ["density", "--log", "{log}"], ("json", "text", "csv")),
 }
 
@@ -89,8 +97,8 @@ def render(case, workdir):
     argv = CASES[case]
     if argv[0] == "density":
         assert _run([part.format(log=log) for part in LOG] + ["--no-meta"])[0] == 0
-    argv = [str(workdir / f"{part}.txt") if prev == "--set" else part.format(log=log)
-            for prev, part in zip([None, *argv], argv)]
+    argv = [str(workdir / f"{part}.txt") if prev in ("--set", "--seed-set")
+            else part.format(log=log) for prev, part in zip([None, *argv], argv)]
     code, out, err = _run([*argv, "--no-meta"])
     text = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
     if argv[0] == "construct":
