@@ -9,10 +9,10 @@ Usage: python scripts/run_theorem_suite.py [--m 200] [--json reports.json]
 """
 
 import argparse
-import json
 import sys
 
 from sumrep.intset import from_values
+from sumrep.jsonfmt import dumps
 from sumrep.repcount import rep_table
 from sumrep.verify import Mode, run_theorem
 
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({name: r.to_dict() for name, r in runs}, fh, indent=2)
+            fh.write(dumps({name: r.to_dict() for name, r in runs}))
         print(f"wrote {args.json}")
 
     if failures:

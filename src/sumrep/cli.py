@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from datetime import datetime, timezone
 
 from . import construct as construct_mod
+from . import jsonfmt
 from . import verify as verify_mod
 from .errors import SumrepError, WindowError
 from .intset import blocks, from_values, load_set
@@ -42,7 +42,7 @@ def _emit(args, text: str) -> None:
 def _emit_json(args, doc: dict) -> None:
     if not args.no_meta:
         doc["meta"] = {"timestamp": datetime.now(timezone.utc).isoformat()}
-    _emit(args, json.dumps(doc, indent=2))
+    _emit(args, jsonfmt.dumps(doc))
 
 
 def _mode(args) -> verify_mod.Mode:

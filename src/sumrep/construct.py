@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonfmt
 from .errors import CertificateError, ParameterError, SumrepError
 from .intset import IntegerSet, counting, ensure_memory, from_values
 from .verify import Mode, _bound_float, _bound_holds, _bound_terms, check_premise, compute_k0
@@ -78,7 +79,7 @@ class ConstructionLog:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return jsonfmt.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConstructionLog":
@@ -160,9 +161,9 @@ def greedy_repair(
     Sums whose repair candidates run out are logged as failures, not
     retried, and left to the certification threshold.  The returned log is
     certified when the independent premise re-check passes on [n0, W] and
-    checks at least one sum there.  Every element is <= W, so the set's
-    numpy mirror and the pair counts take (W + 1) + (2W + 1) int64 cells,
-    about 12*horizon bytes.
+    checks at least one sum there.  Every element and every sum read is
+    <= W, so the 0/1 membership row and the pair counts take 2*(W + 1)
+    int64 cells, about 8*horizon bytes.
     """
     if ell < 2:
         raise ParameterError(f"ell must be >= 2, got {ell}")
@@ -178,13 +179,14 @@ def greedy_repair(
         )
 
     watermark = horizon // 2
-    ensure_memory(12 * horizon, "greedy_repair")
+    ensure_memory(16 * (watermark + 1), "greedy_repair")
     # Every element is <= W (the seed by the horizon check, a repair
-    # n - a with n <= W), so W + 1 slots hold the set and sums stay <= 2W.
+    # n - a with n <= W), and only counts at n <= W are ever read, so both
+    # rows stop at W.
     members: set[int] = set()
     ordered: list[int] = []
-    buf = np.empty(watermark + 1, dtype=np.int64)
-    counts = np.zeros(2 * watermark + 1, dtype=np.int64)
+    present = np.zeros(watermark + 1, dtype=np.int64)
+    counts = np.zeros(watermark + 1, dtype=np.int64)
     additions: list[tuple[int, int]] = []
     failures: list[tuple[int, int]] = []
     sides = itertools.cycle(_SIDES[strategy])
@@ -207,9 +209,10 @@ def greedy_repair(
         return None
 
     def insert(e: int) -> None:
-        size = len(ordered)
-        buf[size] = e
-        counts[buf[: size + 1] + e] += 1
+        # counts[a + e] += 1 for every a in A + {e} with a + e <= W; the
+        # pair {e, e} is counted once
+        present[e] = 1
+        counts[e:] += present[: watermark + 1 - e]
         members.add(e)
         insort(ordered, e)
 
@@ -233,8 +236,7 @@ def greedy_repair(
             if counts[n]:
                 repair(n)
         failed = {n for n, _ in failures}
-        window = counts[: watermark + 1]
-        todo = [n for n in np.flatnonzero((window > 0) & (window < ell)).tolist()
+        todo = [n for n in np.flatnonzero((counts > 0) & (counts < ell)).tolist()
                 if n not in failed]
 
     final = from_values(ordered)

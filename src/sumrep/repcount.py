@@ -8,8 +8,9 @@ count).  Independent routes exist on purpose:
   * ``rep_count``: a memo over (summands left, sum) without recursion, fast
     for single n and the only route whose cost does not grow with max(A);
   * ``rep_table``: a whole window at once, from a certified float FFT,
-    O(h^2 * W log W), when the FFT can prove its row exact, and otherwise
-    from one checked sweep over the sorted elements, O(|A| * h * W).
+    O(h^2 * W log W), when that estimate is below the sweep's and the FFT
+    can prove its row exact, and otherwise from one checked sweep over the
+    sorted elements, O(|A| * h * W).
 
 The FFT route (``_fft_row``) applies the Newton identity for multisets and
 returns a row only with a certificate of exactness; it never decides a
@@ -275,9 +276,12 @@ class RepTable:
 def rep_table(A: IntegerSet, h: int, window: tuple[int, int] | None = None) -> RepTable:
     """Batch-compute r_{A,h}(n) for every n in the window (default [0, h*max(A)]).
 
-    Counts come from the certified FFT when it certifies its row, and
-    otherwise from one checked 64-bit sweep, where a count above 2^64 - 1
-    in the window raises CountOverflowError.
+    Counts come from the certified FFT when its work estimate,
+    h(h-1)/2 spectrum products of N/2 + 1 cells plus 2h transforms of size
+    N, is below the sweep's k*h*(hi + 1) cells (k elements <= hi) and the
+    FFT certifies its row.  Otherwise they come from one checked 64-bit
+    sweep, where a count above 2^64 - 1 in the window raises
+    CountOverflowError.
     """
     if h < 1:
         raise ParameterError(f"h must be >= 1, got {h}")
@@ -298,7 +302,11 @@ def rep_table(A: IntegerSet, h: int, window: tuple[int, int] | None = None) -> R
             f"window {window[0]}:{window[1]} lies outside [0, h*max(A)] = [0, {full}]; "
             f"every count outside that range is 0"
         )
-    row = _fft_row(A.elements, h, hi)
+    # the FFT's spectrum products and transforms against the sweep's cells
+    size = 1 << (2 * hi + 1).bit_length()
+    fft_work = h * (h - 1) // 2 * (size // 2 + 1) + 2 * h * size * (size.bit_length() - 1)
+    cells = bisect_right(A.elements, hi) * h * (hi + 1)
+    row = _fft_row(A.elements, h, hi) if fft_work < cells else None
     if row is None:
         row = _sweep(A.elements, h, hi)[h]
     row = row[lo : hi + 1]

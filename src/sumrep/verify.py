@@ -24,7 +24,6 @@ search that produced them.
 from __future__ import annotations
 
 import io
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import jsonfmt
 from .errors import (
     CertificateError,
     ParameterError,
@@ -746,7 +746,7 @@ class TheoremReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return jsonfmt.dumps(self.to_dict())
 
     def bound_csv(self) -> str:
         out = io.StringIO()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import multiset_sum_counts
+from sumrep import construct
 from sumrep.construct import (
     ConstructionLog,
     STRATEGIES,
@@ -138,6 +139,13 @@ class TestGreedyRepair:
     def test_allocation_past_physical_memory_refused(self):
         with pytest.raises(ParameterError, match="greedy_repair: needs about"):
             greedy_repair(2, 2**62)
+
+    def test_memory_guard_asks_for_the_two_rows(self, monkeypatch):
+        # the membership row and the counts: W + 1 int64 cells each
+        asked = []
+        monkeypatch.setattr(construct, "ensure_memory", lambda size, what: asked.append(size))
+        greedy_repair(2, 201)
+        assert asked == [16 * 101]
 
     def test_precondition_errors(self):
         with pytest.raises(ParameterError):

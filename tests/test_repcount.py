@@ -201,21 +201,26 @@ class TestFftRoute:
         assert row.tolist() == [rep_count_naive(A, h, n) for n in range(hi + 1)]
 
     # +0.3 breaks the rounding check, +1 the divisibility by j = 2, and +2
-    # passes both but breaks the total of the full window
+    # passes both but breaks the total of the full window; the set is large
+    # enough that rep_table tries the FFT before its sweep answers
     @pytest.mark.parametrize("shift", [0.3, 1.0, 2.0])
     def test_tampered_transform_declines(self, monkeypatch, shift):
-        A = from_values(range(0, 60, 3))
-        expected = _sweep(A.elements, 2, 114)[2].tolist()
+        A = from_values(range(0, 600, 3))
+        expected = _sweep(A.elements, 2, 1194)[2].tolist()
         real = np.fft.irfft
+        calls = []
 
         def tampered(*args, **kwargs):
+            calls.append(1)
             out = real(*args, **kwargs)
             out[50] += shift
             return out
 
         monkeypatch.setattr(np.fft, "irfft", tampered)
-        assert _fft_row(A.elements, 2, 114) is None
+        assert _fft_row(A.elements, 2, 1194) is None
+        calls.clear()
         assert rep_table(A, 2).row.tolist() == expected
+        assert calls
 
     def test_total_past_2_53_declines_before_any_transform(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -241,6 +246,15 @@ class TestFftRoute:
         assert math.comb(40 + 20 - 1, 20) < 2**53
         assert _fft_row(tuple(range(40)), 20, 780) is None
         assert 0 < len(errors) < 20 - 1 and max(errors) < 0.25
+
+    def test_large_h_on_tiny_set_sweeps(self, monkeypatch):
+        # Theta(h^2) spectrum products against 2 * 5000 * 6 sweep cells
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep is cheaper here")
+
+        monkeypatch.setattr(np.fft, "rfft", forbidden)
+        table = rep_table(from_values([0, 5]), 5000, (5, 5))
+        assert table.row.tolist() == [1]
 
 
 def _partition_counts(limit):
