@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 from bisect import bisect_right, insort
 from dataclasses import dataclass
@@ -35,6 +36,14 @@ from .verify import Mode, _bound_float, _bound_holds, _bound_terms, check_premis
 # whether each successive repair takes the smallest new element
 _SIDES = {"smallest-new": (True,), "largest-new": (False,), "balanced": (True, False)}
 STRATEGIES = tuple(_SIDES)
+
+
+def _integer(v: object) -> int:
+    """v as an int; a float or a numeric string is refused, never truncated."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise TypeError(f"expected an integer, got {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -87,18 +96,18 @@ class ConstructionLog:
         (TypeError/ValueError), so nothing downstream divides by a zero
         watermark or reads an empty density curve."""
         log = cls(
-            target_ell=int(doc["target_ell"]),
-            horizon=int(doc["horizon"]),
+            target_ell=_integer(doc["target_ell"]),
+            horizon=_integer(doc["horizon"]),
             strategy=doc["strategy"],
             seed_set=from_values(doc["seed"]),
-            additions=tuple((int(e), int(n)) for e, n in doc["additions"]),
-            failures=tuple((int(n), int(c)) for n, c in doc["failures"]),
-            watermark=int(doc["watermark"]),
+            additions=tuple((_integer(e), _integer(n)) for e, n in doc["additions"]),
+            failures=tuple((_integer(n), _integer(c)) for n, c in doc["failures"]),
+            watermark=_integer(doc["watermark"]),
             final_set=from_values(doc["final"]),
             certified=doc["certified"],
-            n0=None if doc["n0"] is None else int(doc["n0"]),
-            checked_count=int(doc["checked_count"]),
-            density_curve=tuple((int(x), int(c)) for x, c in doc["density_curve"]),
+            n0=None if doc["n0"] is None else _integer(doc["n0"]),
+            checked_count=_integer(doc["checked_count"]),
+            density_curve=tuple((_integer(x), _integer(c)) for x, c in doc["density_curve"]),
         )
         if not isinstance(log.certified, bool):
             raise TypeError(f"certified must be true or false, got {log.certified!r}")
@@ -239,7 +248,7 @@ def greedy_repair(
         todo = [n for n in np.flatnonzero((counts > 0) & (counts < ell)).tolist()
                 if n not in failed]
 
-    final = from_values(ordered)
+    final = IntegerSet(tuple(ordered))
     report = check_premise(final, 2, ell, None, Mode.prefix(watermark))
     # a premise that checked no sum certifies nothing
     certified = report.holds and report.checked_count > 0

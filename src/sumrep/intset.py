@@ -8,9 +8,11 @@ a block and is never counted by ``counting``.
 
 from __future__ import annotations
 
+import operator
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -25,25 +27,29 @@ U64_MAX = 2**64 - 1
 
 @dataclass(frozen=True)
 class IntegerSet:
-    """Strictly increasing tuple of nonnegative 64-bit integers."""
+    """Strictly increasing tuple of nonnegative 64-bit integers.
+
+    The only place a set's elements are checked: once the order holds, the
+    end elements bound the rest.  Membership is built on first use.
+    """
 
     elements: tuple[int, ...]
-    _members: frozenset = field(init=False, repr=False, compare=False, default=frozenset())
 
     def __post_init__(self) -> None:
-        prev = -1
-        for a in self.elements:
-            if a < 0:
-                raise NegativeElementError(f"negative element {a}")
-            if a > U64_MAX:
-                raise RangeOverflowError(f"element {a} exceeds the 64-bit range")
-            if a <= prev:
-                raise ParameterError("elements must be strictly increasing")
-            prev = a
-        object.__setattr__(self, "_members", frozenset(self.elements))
+        els = self.elements
+        if not all(map(operator.lt, els, els[1:])):
+            raise ParameterError("elements must be strictly increasing")
+        if els and els[0] < 0:
+            raise NegativeElementError(f"negative element {els[0]}")
+        if els and els[-1] > U64_MAX:
+            raise RangeOverflowError(f"element {els[-1]} exceeds the 64-bit range")
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.elements)
 
     def __contains__(self, x: object) -> bool:
-        return x in self._members
+        return x in self.members
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -61,12 +67,6 @@ class IntegerSet:
     @property
     def contains_zero(self) -> bool:
         return bool(self.elements) and self.elements[0] == 0
-
-    def restrict(self, lo: int, hi: int) -> "IntegerSet":
-        """Subset with lo <= a <= hi (canonical order preserved)."""
-        i = bisect_left(self.elements, lo)
-        j = bisect_right(self.elements, hi)
-        return IntegerSet(self.elements[i:j])
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,11 @@ class BlockDecomposition:
 def from_values(values: Iterable[int]) -> IntegerSet:
     """Canonicalize an arbitrary finite iterable of nonnegative integers.
 
-    Order is irrelevant and duplicates collapse; any negative value is
-    rejected naming the offending value.
+    Order is irrelevant and duplicates collapse.  A value that is not an
+    integer raises TypeError (a float is never truncated); IntegerSet
+    rejects negative values naming the least one, and values past 64 bits.
     """
-    seen = set()
-    for v in values:
-        v = int(v)
-        if v < 0:
-            raise NegativeElementError(f"negative element {v}")
-        seen.add(v)
-    return IntegerSet(tuple(sorted(seen)))
+    return IntegerSet(tuple(sorted({operator.index(v) for v in values})))
 
 
 def counting(A: IntegerSet, x: int) -> int:
@@ -132,22 +127,15 @@ def blocks(A: IntegerSet, h: int) -> BlockDecomposition:
     """Decompose A \\ {0} into nonempty base-h blocks, in increasing k."""
     if h < 2:
         raise ParameterError(f"base h must be >= 2, got {h}")
+    els = A.elements
     entries: list[tuple[int, IntegerSet]] = []
-    cur_k = 1
-    lo, hi = 1, h
-    bucket: list[int] = []
-    for a in A.elements:
-        if a == 0:
-            continue
-        while a >= hi:
-            if bucket:
-                entries.append((cur_k, IntegerSet(tuple(bucket))))
-                bucket = []
-            lo, hi = hi, hi * h
-            cur_k += 1
-        bucket.append(a)
-    if bucket:
-        entries.append((cur_k, IntegerSet(tuple(bucket))))
+    k, hi = 1, h
+    i = bisect_left(els, 1)
+    while i < len(els):
+        j = bisect_left(els, hi, i)
+        if j > i:
+            entries.append((k, IntegerSet(els[i:j])))
+        i, k, hi = j, k + 1, hi * h
     return BlockDecomposition(base=h, entries=tuple(entries), zero_excluded=A.contains_zero)
 
 
@@ -176,7 +164,7 @@ def ensure_memory(nbytes: int, operation: str) -> None:
 
 def parse_set_text(text: str) -> IntegerSet:
     """Parse the plain-text set format: one integer per line, '#' comments."""
-    values: list[int] = []
+    values: set[int] = set()
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -187,8 +175,10 @@ def parse_set_text(text: str) -> IntegerSet:
             raise SetFileError(f"line {i}: not an integer: {line!r}", i) from None
         if v < 0:
             raise SetFileError(f"line {i}: negative element {v}", i)
-        values.append(v)
-    return from_values(values)
+        if v > U64_MAX:
+            raise SetFileError(f"line {i}: element {v} exceeds the 64-bit range", i)
+        values.add(v)
+    return IntegerSet(tuple(sorted(values)))
 
 
 def load_set(path: str | os.PathLike) -> IntegerSet:

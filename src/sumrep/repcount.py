@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import CountOverflowError, ParameterError, WindowError
-from .intset import U64_MAX, IntegerSet, ensure_headroom, ensure_memory, from_values
+from .intset import U64_MAX, IntegerSet, ensure_headroom, ensure_memory
 
 
 def rep_count_naive(A: IntegerSet, h: int, n: int) -> int:
@@ -88,7 +88,7 @@ def rep_count(A: IntegerSet, h: int, n: int) -> int:
     levels = [{n}]  # levels[h - left]: the sums that `left` summands must reach
     for left in range(h, 2, -1):
         levels.append({s - els[t] for s in levels[-1] for t in starts(left, s)})
-    members = frozenset(els)
+    members = A.members
     memo: dict[int, tuple[int, list[int]]] = {}  # sum -> (first start, suffix counts)
     for left in range(2, h + 1):
         below, memo = memo, {}
@@ -314,17 +314,6 @@ def rep_table(A: IntegerSet, h: int, window: tuple[int, int] | None = None) -> R
     return RepTable(lo=lo, hi=hi, row=row, trimmed=trimmed)
 
 
-def _mask_to_elements(mask: int, limit: int) -> tuple[int, ...]:
-    """Set bit positions of mask up to limit, via byte unpacking."""
-    if mask == 0 or limit < 0:
-        return ()
-    nbytes = limit // 8 + 1
-    mask &= (1 << (limit + 1)) - 1
-    raw = mask.to_bytes(nbytes, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return tuple(int(i) for i in np.nonzero(bits)[0])
-
-
 def sumset(A: IntegerSet, h: int, cap: int | None = None) -> IntegerSet:
     """The h-fold sumset {n <= cap : n is a sum of h elements of A}.
 
@@ -333,7 +322,7 @@ def sumset(A: IntegerSet, h: int, cap: int | None = None) -> IntegerSet:
     if h < 1:
         raise ParameterError(f"h must be >= 1, got {h}")
     if not A.elements:
-        return from_values([])
+        return IntegerSet(())
     ensure_headroom(A, h, "sumset")
     full = h * A.elements[-1]
     ensure_memory(full // 8, "sumset")
@@ -352,4 +341,7 @@ def sumset(A: IntegerSet, h: int, cap: int | None = None) -> IntegerSet:
         for a in A.elements:
             layer |= reach << a
         reach = layer
-    return IntegerSet(_mask_to_elements(reach, cap))
+    # the set bits of reach up to cap, via byte unpacking
+    raw = (reach & ((1 << (cap + 1)) - 1)).to_bytes(cap // 8 + 1, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return IntegerSet(tuple(np.flatnonzero(bits).tolist()))

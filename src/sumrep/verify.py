@@ -39,7 +39,7 @@ from .errors import (
     PrefixTooShortError,
     WindowError,
 )
-from .intset import IntegerSet, block_of, blocks, counting, from_values
+from .intset import IntegerSet, block_of, blocks, counting
 from .repcount import _sweep, rep_table
 
 SCHEMA_VERSION = 3
@@ -342,19 +342,19 @@ def distinct_tops(
     if h < 2:
         raise ParameterError(f"h must be >= 2, got {h}")
     if n < 0:
-        return from_values([])
+        return IntegerSet(())
     bound = mode.exactness_bound(A, h)
     if n > bound:
         raise WindowError(f"n={n} exceeds the exactness bound {bound}")
 
     if h == 2:
-        # pairs (a, n-a) with a < n-a, both in A
+        # pairs (a, n-a) with a < n-a, both in A; n-a falls as a rises
         tops = []
         half = (n - 1) // 2
         for a in A.elements[: bisect_right(A.elements, half)]:
             if (n - a) in A:
                 tops.append(n - a)
-        return from_values(tops)
+        return IntegerSet(tuple(reversed(tops)))
 
     # After the sweep takes in b, rows[h-1][n-b] counts the completions of
     # b by h-1 summands <= b; the all-b one is the diagonal representation.
@@ -365,7 +365,7 @@ def distinct_tops(
             tops.append(b)
 
     _sweep(A.elements, h - 1, n, visit)
-    return from_values(tops)
+    return IntegerSet(tuple(tops))
 
 
 # ---------------------------------------------------------------------------

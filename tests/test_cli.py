@@ -308,6 +308,13 @@ class TestErrors:
         assert code == 2
         assert "line 2" in err
 
+    def test_set_file_element_past_64_bits_line_number(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(f"3\n{2**64}\n")
+        code, out, err = run(capsys, "sumset", "--h", "2", "--set", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: line 2: element {2**64} exceeds the 64-bit range"]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "rep", "--h", "2", "--n", "4",
                            "--set", "/nonexistent/none.txt")
@@ -412,6 +419,17 @@ class TestBadInputFiles:
     def test_log_wrongly_typed_field(self, capsys, tmp_path, log_doc):
         log_doc["n0"] = "z"
         assert "'z'" in self._density(capsys, tmp_path, log_doc)
+
+    @pytest.mark.parametrize("field, edit", [
+        ("final", lambda final: [v + 0.5 for v in final]),
+        ("seed", lambda seed: [float(v) for v in seed]),
+        ("watermark", lambda w: w + 0.9),
+        ("n0", str),
+        ("additions", lambda adds: [[e, n + 0.5] for e, n in adds]),
+    ], ids=["final", "seed", "watermark", "n0", "additions"])
+    def test_log_non_integer_number_not_truncated(self, capsys, tmp_path, log_doc, field, edit):
+        log_doc[field] = edit(log_doc[field])
+        assert "TypeError" in self._density(capsys, tmp_path, log_doc)
 
     def test_log_certified_not_a_bool(self, capsys, tmp_path, log_doc):
         log_doc["certified"] = "no"

@@ -1,9 +1,13 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumrep.errors import NegativeElementError, ParameterError, SetFileError
+from sumrep.errors import NegativeElementError, ParameterError, RangeOverflowError, SetFileError
 from sumrep.intset import (
+    U64_MAX,
     IntegerSet,
     block_of,
     blocks,
@@ -13,6 +17,7 @@ from sumrep.intset import (
     parse_set_text,
     save_set,
 )
+from sumrep.repcount import sumset
 
 small_sets = st.frozensets(st.integers(0, 200), max_size=12)
 
@@ -36,11 +41,55 @@ class TestFromValues:
         A = from_values(values)
         assert from_values(A.elements) == A
 
+    def test_float_refused_not_truncated(self):
+        with pytest.raises(TypeError):
+            from_values([0, 1.5])
+
     def test_direct_construction_requires_sorted(self):
         with pytest.raises(ParameterError):
             IntegerSet((2, 1))
         with pytest.raises(ParameterError):
             IntegerSet((1, 1))
+
+
+BUILDS = {
+    "direct": lambda values: IntegerSet(tuple(values)),
+    "from_values": from_values,
+    "parse_set_text": lambda values: parse_set_text("".join(f"{v}\n" for v in values)),
+}
+TOO_BIG = 2**64
+
+# (case, build, values, the elements built or the error raised and its message)
+BUILD_TABLE = [
+    ("canonical", "direct", (0, 3, 17, U64_MAX), (0, 3, 17, U64_MAX)),
+    ("canonical", "from_values", (0, 3, 17, U64_MAX), (0, 3, 17, U64_MAX)),
+    ("canonical", "parse_set_text", (0, 3, 17, U64_MAX), (0, 3, 17, U64_MAX)),
+    ("unsorted", "direct", (5, 0, 3), (ParameterError, "strictly increasing")),
+    ("unsorted", "from_values", (5, 0, 3), (0, 3, 5)),
+    ("unsorted", "parse_set_text", (5, 0, 3), (0, 3, 5)),
+    ("duplicate", "direct", (1, 1, 2), (ParameterError, "strictly increasing")),
+    ("duplicate", "from_values", (1, 1, 2), (1, 2)),
+    ("duplicate", "parse_set_text", (1, 1, 2), (1, 2)),
+    ("negative", "direct", (-3, 1), (NegativeElementError, "negative element -3")),
+    ("negative", "from_values", (1, -1, -3), (NegativeElementError, "negative element -3")),
+    ("negative", "parse_set_text", (1, -3), (SetFileError, "line 2: negative element -3")),
+    ("past-64-bits", "direct", (0, TOO_BIG),
+     (RangeOverflowError, f"element {TOO_BIG} exceeds the 64-bit range")),
+    ("past-64-bits", "from_values", (TOO_BIG, 0),
+     (RangeOverflowError, f"element {TOO_BIG} exceeds the 64-bit range")),
+    ("past-64-bits", "parse_set_text", (0, TOO_BIG),
+     (SetFileError, f"line 2: element {TOO_BIG} exceeds the 64-bit range")),
+]
+
+
+@pytest.mark.parametrize("build, values, expected", [row[1:] for row in BUILD_TABLE],
+                         ids=[f"{case}-{build}" for case, build, *_ in BUILD_TABLE])
+def test_each_build_checks_the_same_set(build, values, expected):
+    if isinstance(expected[0], type):
+        with pytest.raises(expected[0], match=re.escape(expected[1])):
+            BUILDS[build](values)
+    else:
+        assert BUILDS[build](values) == IntegerSet(expected)
 
 
 class TestCounting:
@@ -164,7 +213,18 @@ class TestIntegerSet:
         assert A.max_element is None
         assert not A.contains_zero
 
-    def test_restrict(self):
-        A = from_values(range(10))
-        assert A.restrict(3, 6).elements == (3, 4, 5, 6)
-        assert A.restrict(11, 20).elements == ()
+    def test_membership_built_on_first_read(self):
+        A = from_values([1, 5])
+        assert "members" not in vars(A)
+        assert 5 in A and 4 not in A
+        assert A.members == {1, 5}
+
+    @given(st.frozensets(st.integers(0, 60), max_size=8), st.integers(2, 3))
+    def test_membership_of_blocks_and_sumsets(self, values, h):
+        A = from_values(values)
+        sums = {sum(c) for c in itertools.combinations_with_replacement(values, h)}
+        built = [(m, {a for a in values if h ** (k - 1) <= a < h**k}) for k, m in blocks(A, h)]
+        built.append((sumset(A, h), sums))
+        for S, truth in built:
+            assert "members" not in vars(S)
+            assert all((x in S) == (x in truth) for x in range(h * 60 + 2))
