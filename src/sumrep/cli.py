@@ -19,7 +19,7 @@ from . import jsonfmt
 from . import verify as verify_mod
 from .errors import SumrepError, WindowError
 from .intset import blocks, from_values, load_set
-from .repcount import rep_count, rep_table, sumset
+from .repcount import one_cell_cheaper, rep_count, rep_table, sumset
 from .runtime import resolve_thread_cap
 from .selftest import run_selftest
 
@@ -163,7 +163,10 @@ def _cmd_rep(args) -> int:
             raise SumrepError("rep --n has no csv form; use --window N:N for a table")
         if mode.kind == "prefix" and args.n > bound:
             raise WindowError(f"n={args.n} exceeds the exactness bound {bound}")
-        count = rep_count(A, args.h, args.n)
+        if one_cell_cheaper(A, args.h, args.n):
+            count = rep_table(A, args.h, window=(args.n, args.n)).count(args.n)
+        else:
+            count = rep_count(A, args.h, args.n)
         if args.format == "json":
             _emit_json(args, {
                 "schema_version": 1,

@@ -12,14 +12,21 @@ count).  Independent routes exist on purpose:
     can prove its row exact, and otherwise from one checked sweep over the
     sorted elements, O(|A| * h * W).
 
+No count on [0, hi] can exceed ``_cell_bound``: the multiset total
+C(k+h-1, h) of the k elements <= hi, or C(hi+h-1, h-1), the number of
+ordered h-tuples of nonnegative integers summing to hi, whichever is less.
 The FFT route (``_fft_row``) applies the Newton identity for multisets and
-returns a row only with a certificate of exactness; it never decides a
-verdict the sweep would not.  The sweep keeps one unsigned 64-bit row per
-number of summands.  Every cell it keeps is bounded by some h-fold count
-in the window, so it checks each add for wrap-around and raises
-``CountOverflowError`` exactly when a count in the window exceeds 64 bits;
-the check is skipped when the multiset total C(#elements + h - 1, h)
-fits, since then no cell can wrap.
+returns a row only with a certificate of exactness, which starts with that
+bound below 2^53; it never decides a verdict the sweep would not.  The
+sweep keeps one unsigned 64-bit row per number of summands.  Every cell it
+keeps is bounded by some h-fold count in the window, so it checks each add
+for wrap-around and raises ``CountOverflowError`` exactly when a count in
+the window exceeds 64 bits; the check is skipped when the bound fits in
+64 bits, since then no cell can wrap.
+
+``rep --n`` reads the one-cell table ``rep_table(A, h, (n, n))`` when
+``one_cell_cheaper`` finds it exact, within memory and estimated cheaper
+than the memo's step bound, and calls ``rep_count`` otherwise.
 
 These routes only count over the set they are given.  Up to where a count
 also holds for the underlying (possibly infinite) set is declared by
@@ -110,6 +117,65 @@ def rep_count(A: IntegerSet, h: int, n: int) -> int:
     return memo[n][1][0] if h > 1 else int(n in members)
 
 
+def _cell_bound(k: int, h: int, hi: int) -> int:
+    """A bound on every count the table routes keep for the window [0, hi].
+
+    k is the number of elements <= hi.  A kept count of 1 <= j <= h summands
+    counts j-multisets of those elements summing to some t <= hi.  So it is
+    at most the multiset total C(k+j-1, j) <= C(k+h-1, h), and at most the
+    number C(t+j-1, j-1) <= C(hi+h-1, h-1) of ordered j-tuples of
+    nonnegative integers summing to t, which grows with t and j.
+    """
+    return min(math.comb(k + h - 1, h), math.comb(hi + h - 1, h - 1))
+
+
+def _table_work(k: int, h: int, hi: int) -> tuple[int, int]:
+    """(FFT work, sweep cells) of an h-fold row to hi over k elements <= hi.
+
+    The FFT's work is h(h-1)/2 spectrum products of N/2 + 1 cells plus 2h
+    transforms of size N = the next power of two above 2*hi + 1; the
+    sweep's is k*h*(hi + 1) cells.
+    """
+    size = 1 << (2 * hi + 1).bit_length()
+    fft_work = h * (h - 1) // 2 * (size // 2 + 1) + 2 * h * size * (size.bit_length() - 1)
+    return fft_work, k * h * (hi + 1)
+
+
+def _memo_steps(k: int, h: int, n: int) -> int:
+    """A bound on ``rep_count``'s steps for r_h(n) over k elements <= n.
+
+    The level of `left` summands holds at most min(n+1, k^(h-left)) sums,
+    each solved in at most k steps, for left = 2..h.
+    """
+    steps, level = 0, 1
+    for _ in range(h - 1):
+        steps += level * k
+        level = min(n + 1, level * k)
+    return steps
+
+
+def one_cell_cheaper(A: IntegerSet, h: int, n: int) -> bool:
+    """True when ``rep_table(A, h, (n, n))`` gives r_{A,h}(n) exactly and is
+    estimated cheaper than ``rep_count(A, h, n)``.
+
+    That needs 0 <= n <= h*max(A) within 64 bits, ``_cell_bound`` within
+    64 bits (so no count is refused), a table estimate (the cheaper of the
+    FFT's work and the sweep's cells) below the memo's step bound, one
+    numpy cell against one Python step, and the sweep's rows within memory.
+    """
+    if not A.elements or not 0 <= n <= h * A.max_element <= U64_MAX:
+        return False
+    k = bisect_right(A.elements, n)
+    if min(_table_work(k, h, n)) >= _memo_steps(k, h, n):
+        return False
+    nbytes = (h + 1) * (n + 1) * np.dtype(np.uint64).itemsize  # at least the sweep's rows
+    try:
+        ensure_memory(nbytes, f"the {h}-fold sweep to {n}")
+    except ParameterError:
+        return False
+    return _cell_bound(k, h, n) <= U64_MAX
+
+
 def _sweep(
     elements: Sequence[int],
     h: int,
@@ -124,7 +190,8 @@ def _sweep(
     at hi - (h-j)*min(A): no count on [0, hi] reads past it, and padding
     with h-j copies of min(A) bounds every kept cell by an h-fold count on
     [0, hi].  Hence an add wraps exactly when some r_h(n), n <= hi, exceeds
-    64 bits, and that raises CountOverflowError.
+    64 bits, and that raises CountOverflowError.  Each add is checked only
+    when ``_cell_bound`` passes 64 bits; otherwise no cell can wrap.
     """
     stop = bisect_right(elements, hi)
     least = elements[0] if stop else 0
@@ -133,7 +200,7 @@ def _sweep(
     rows = [np.zeros(size, dtype=np.uint64) for size in sizes]
     if rows[0].size:
         rows[0][0] = 1
-    checked = math.comb(stop + h - 1, h) > U64_MAX
+    checked = _cell_bound(stop, h, hi) > U64_MAX
     for a in elements[:stop]:
         for j in range(1, h + 1):
             row = rows[j]
@@ -177,9 +244,10 @@ def _fft_row(elements: Sequence[int], h: int, hi: int) -> np.ndarray | None:
     size N = 2^n, the next power of two above 2*hi + 1 (so no product
     wraps), and rounds.  The row is returned only when all of these hold:
 
-      * C(k+h-1, h) < 2^53 for the k elements <= hi.  Every H_j(t), t <= hi,
-        counts j-multisets of those elements, so each is at most that total
-        and exact in float64 and int64;
+      * ``_cell_bound(k, h, hi)`` < 2^53 for the k elements <= hi.  Every
+        H_j(t), j <= h and t <= hi, counts j-multisets of those elements
+        summing to t, so each is at most that bound and exact in float64
+        and int64;
       * the a-priori error of each step, c_j * sum_k |P_k|_2 |H_{j-k}|_2,
         is below 1/4, with c_j = (1+eps)^(3n+j-1) (1+eps*sqrt 5)^(3n+1)
         (1+beta)^(3n) - 1, eps = 2^-53 and beta = 2^-52 the allowed error
@@ -195,12 +263,12 @@ def _fft_row(elements: Sequence[int], h: int, hi: int) -> np.ndarray | None:
 
     Percival's bound is proved for the radix-2 FFT; numpy's pocketfft mixes
     radices with error of the same O(eps log N) order, and the last three
-    checks reject a transform that breaks it.  Declining costs one binomial
-    when the total is too large, and nothing is allocated when the
+    checks reject a transform that breaks it.  Declining costs two binomials
+    when the bound is too large, and nothing is allocated when the
     transforms would not fit in physical memory.
     """
     stop = bisect_right(elements, hi)
-    if math.comb(stop + h - 1, h) >= _EXACT:
+    if _cell_bound(stop, h, hi) >= _EXACT:
         return None
     size = 1 << (2 * hi + 1).bit_length()
     try:
@@ -276,12 +344,10 @@ class RepTable:
 def rep_table(A: IntegerSet, h: int, window: tuple[int, int] | None = None) -> RepTable:
     """Batch-compute r_{A,h}(n) for every n in the window (default [0, h*max(A)]).
 
-    Counts come from the certified FFT when its work estimate,
-    h(h-1)/2 spectrum products of N/2 + 1 cells plus 2h transforms of size
-    N, is below the sweep's k*h*(hi + 1) cells (k elements <= hi) and the
-    FFT certifies its row.  Otherwise they come from one checked 64-bit
-    sweep, where a count above 2^64 - 1 in the window raises
-    CountOverflowError.
+    Counts come from the certified FFT when its work estimate is below the
+    sweep's cells (``_table_work``) and the FFT certifies its row.
+    Otherwise they come from one checked 64-bit sweep, where a count above
+    2^64 - 1 in the window raises CountOverflowError.
     """
     if h < 1:
         raise ParameterError(f"h must be >= 1, got {h}")
@@ -302,10 +368,7 @@ def rep_table(A: IntegerSet, h: int, window: tuple[int, int] | None = None) -> R
             f"window {window[0]}:{window[1]} lies outside [0, h*max(A)] = [0, {full}]; "
             f"every count outside that range is 0"
         )
-    # the FFT's spectrum products and transforms against the sweep's cells
-    size = 1 << (2 * hi + 1).bit_length()
-    fft_work = h * (h - 1) // 2 * (size // 2 + 1) + 2 * h * size * (size.bit_length() - 1)
-    cells = bisect_right(A.elements, hi) * h * (hi + 1)
+    fft_work, cells = _table_work(bisect_right(A.elements, hi), h, hi)
     row = _fft_row(A.elements, h, hi) if fft_work < cells else None
     if row is None:
         row = _sweep(A.elements, h, hi)[h]

@@ -16,8 +16,9 @@ def run_selftest(
     trials: int = 60, seed: int = 0, emit: Callable[[str], None] = print
 ) -> bool:
     """Exhaustively compare the counting routes on random small sets (the
-    FFT must certify rows this small) and check the multiset totality
-    identity.  True when everything agrees."""
+    FFT must certify rows this small), including both routes of ``rep --n``
+    (the memo and the one-cell table) at every n, and check the multiset
+    totality identity.  True when everything agrees."""
     rng = random.Random(seed)
     ok = True
 
@@ -36,11 +37,12 @@ def run_selftest(
             naive = rep_count_naive(A, h, n)
             fast = rep_count(A, h, n)
             batch = table.count(n)
-            if not (naive == fast == batch):
+            cell = rep_table(A, h, (n, n)).count(n)  # rep --n's other route
+            if not (naive == fast == batch == cell):
                 ok = False
                 emit(
                     f"FAIL oracle trial={trial} A={list(A)} h={h} n={n}: "
-                    f"naive={naive} fast={fast} table={batch}"
+                    f"naive={naive} fast={fast} table={batch} cell={cell}"
                 )
                 break
 

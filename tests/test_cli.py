@@ -1,10 +1,12 @@
 import json
 import os
+import random
 
 import pytest
 
-from sumrep import cli
+from sumrep import cli, repcount
 from sumrep.cli import main
+from sumrep.intset import U64_MAX, from_values
 
 
 @pytest.fixture
@@ -52,6 +54,51 @@ class TestRep:
         path.write_text("0\n5\n")
         code, out, _ = run(capsys, "rep", "--h", "1200", "--n", "5", "--set", str(path))
         assert (code, out) == (0, "r=1\n")
+
+    def test_single_n_reads_a_table_when_cheaper(self, capsys, tmp_path, monkeypatch):
+        # 1101 elements of [0, 16001) at n = 32000: the memo's step bound is
+        # about 3.6e7, the FFT's estimate about 8.6e6
+        values = random.Random(2).sample(range(16001), 1101)
+        path = tmp_path / "set.txt"
+        path.write_text("".join(f"{v}\n" for v in values))
+        expected = repcount.rep_count(from_values(values), 4, 32000)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rep_count called")
+
+        monkeypatch.setattr(cli, "rep_count", forbidden)
+        code, out, _ = run(capsys, "rep", "--h", "4", "--n", "32000", "--set", str(path))
+        assert (code, out) == (0, f"r={expected}\n")
+
+    @pytest.mark.parametrize("n", [5, 10**15 + 5, 2 * 10**15, 3 * 10**15 + 10, 9 * 10**15])
+    def test_single_n_on_huge_elements_keeps_the_memo(self, capsys, tmp_path, monkeypatch, n):
+        path = tmp_path / "set.txt"
+        path.write_text(f"0\n5\n{10**15}\n{3 * 10**15}\n")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rep_table called")
+
+        monkeypatch.setattr(cli, "rep_table", forbidden)
+        code, out, _ = run(capsys, "rep", "--h", "3", "--n", str(n), "--set", str(path))
+        assert (code, out) == (0, "r=1\n")
+
+    @pytest.mark.parametrize("m", [40, 200])
+    def test_single_n_past_u64_stays_exact(self, capsys, tmp_path, m):
+        # r(800) for h=40 on {0..m-1} is the q^800 coefficient of the Gaussian
+        # binomial [m+39 choose 40]_q = prod_i (1 - q^(m-1+i)) / (1 - q^i).
+        # At m=200 the FFT's estimate is below the memo's step bound, and
+        # only the cell bound keeps the count from the 64-bit table.
+        path = tmp_path / "set.txt"
+        path.write_text("".join(f"{v}\n" for v in range(m)))
+        coeffs = [1] + [0] * 800
+        for i in range(1, 41):
+            for s in range(800, m - 2 + i, -1):
+                coeffs[s] -= coeffs[s - (m - 1 + i)]
+            for s in range(i, 801):
+                coeffs[s] += coeffs[s - i]
+        assert coeffs[800] > U64_MAX
+        code, out, _ = run(capsys, "rep", "--h", "40", "--n", "800", "--set", str(path))
+        assert (code, out) == (0, f"r={coeffs[800]}\n")
 
     def test_requires_exactly_one_target(self, capsys, s123):
         code, _, err = run(capsys, "rep", "--h", "2", "--set", s123)

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from conftest import multiset_sum_counts
 from sumrep.errors import CountOverflowError, ParameterError, RangeOverflowError, WindowError
 from sumrep.intset import U64_MAX, from_values
-from sumrep.repcount import _fft_row, _sweep, rep_count, rep_count_naive, rep_table, sumset
+from sumrep.repcount import (
+    _cell_bound,
+    _fft_row,
+    _sweep,
+    rep_count,
+    rep_count_naive,
+    rep_table,
+    sumset,
+)
 
 tiny_sets = st.frozensets(st.integers(0, 40), min_size=1, max_size=7)
 
@@ -291,7 +299,7 @@ def _partitions_at_most(parts, limit):
 class TestArbitraryPrecisionPath:
     def test_partition_numbers_on_python_path(self):
         # h = n with 0 in A makes r_{A,h}(n) the partition number p(n);
-        # C(|A|+h-1, h) overflows u64 here, forcing the exact big-int sweep.
+        # _cell_bound passes 2^64 here, so the uint64 sweep checks each add.
         n = 40
         A = from_values(range(n + 1))
         table = rep_table(A, n, window=(0, n))
@@ -309,6 +317,29 @@ class TestArbitraryPrecisionPath:
         assert below.row.tolist() == expected[:first]
         with pytest.raises(CountOverflowError):
             rep_table(A, h, window=(0, first))
+
+    def test_wrap_check_off_exactly_while_the_cell_bound_fits(self, monkeypatch):
+        # with 0 in A = {0..hi}, _cell_bound(hi+1, 9, hi) = C(hi+8, 8) and
+        # r_{A,9}(n), n <= hi, counts partitions of n into at most 9 parts
+        hi = max(t for t in range(2000) if math.comb(t + 8, 8) <= U64_MAX)
+        assert _cell_bound(hi + 1, 9, hi) <= U64_MAX < _cell_bound(hi + 2, 9, hi + 1)
+        real_any, calls = np.any, []
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("wrap check ran")
+
+        monkeypatch.setattr(np, "any", forbidden)
+        row = _sweep(tuple(range(hi + 1)), 9, hi)[9]
+        assert row.tolist() == _partitions_at_most(9, hi)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_any(*args, **kwargs)
+
+        monkeypatch.setattr(np, "any", counted)
+        row = _sweep(tuple(range(hi + 2)), 9, hi + 1)[9]
+        assert row.tolist() == _partitions_at_most(9, hi + 1)
+        assert calls
 
     def test_row_bound_prevents_false_overflow(self):
         # some 11-fold counts on [0, 26400] exceed 64 bits, but no 11-fold
