@@ -13,6 +13,7 @@ import argparse
 import functools
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 
 from . import construct as construct_mod
 from . import jsonfmt
@@ -197,7 +198,7 @@ def _cmd_rep(args) -> int:
             "window": [table.lo, table.hi],
             "exactness_bound": bound,
             "trimmed": trimmed,
-            "counts": [[n, c] for n, c in table.items()],
+            "counts": jsonfmt.IntRows(tuple(chain.from_iterable(table.items())), 2),
         })
     elif args.format == "csv":
         rows = (f"{n},{c}" for n, c in table.items())
@@ -291,11 +292,11 @@ def _cmd_theorem(args) -> int:
                     f"required={e.required} {mark}"
                 )
         if report.bound_checks is not None:
-            worst = min(report.bound_checks.checks, key=lambda c: c.margin)
+            b = report.bound_checks
+            i = b.margin.index(min(b.margin))  # the first minimal margin
             lines.append(
-                f"  bound checks: {len(report.bound_checks.checks)} candidates up to "
-                f"x={report.x_max}, worst margin {_fmt(worst.margin)} at x={worst.x} "
-                f"(bound {_fmt(worst.bound)})"
+                f"  bound checks: {len(b.x)} candidates up to x={report.x_max}, "
+                f"worst margin {_fmt(b.margin[i])} at x={b.x[i]} (bound {_fmt(b.bound[i])})"
             )
         for p in report.power_checks:
             lines.append(

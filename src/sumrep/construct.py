@@ -31,7 +31,7 @@ import numpy as np
 from . import jsonfmt
 from .errors import CertificateError, ParameterError, SumrepError
 from .intset import IntegerSet, counting, ensure_memory, from_values
-from .verify import Mode, _bound_float, _bound_holds, _bound_terms, check_premise, compute_k0
+from .verify import Mode, _bound_holds, _bound_terms, _bound_values, check_premise, compute_k0
 
 # whether each successive repair takes the smallest new element
 _SIDES = {"smallest-new": (True,), "largest-new": (False,), "balanced": (True, False)}
@@ -332,11 +332,11 @@ def density_report(log: ConstructionLog) -> DensityReport:
     theorem_id = "T1" if log.target_ell == 2 else "T2"
     k0 = compute_k0(log.final_set, 2, log.n0)
     terms = _bound_terms(theorem_id, 2, log.target_ell, None, k0)
+    curve = [(x, count) for x, count in log.density_curve if x >= 2]
+    bounds = _bound_values(terms, [x for x, _ in curve]).tolist()
     rows = tuple(
-        DensityRow(x=x, count=count, lower_bound=_bound_float(terms, x),
-                   log_sq_ref=math.log(x) ** 2)
-        for x, count in log.density_curve
-        if x >= 2
+        DensityRow(x=x, count=count, lower_bound=bound, log_sq_ref=math.log(x) ** 2)
+        for (x, count), bound in zip(curve, bounds)
     )
     last = rows[-1]
     if last.x == log.horizon and not _bound_holds(terms, last.count, last.x):

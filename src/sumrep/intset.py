@@ -164,7 +164,14 @@ def ensure_memory(nbytes: int, operation: str) -> None:
 
 def parse_set_text(text: str) -> IntegerSet:
     """Parse the plain-text set format: one integer per line, '#' comments."""
-    values: set[int] = set()
+    kept = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    try:
+        els = tuple(sorted(set(map(int, kept))))
+        if not els or (els[0] >= 0 and els[-1] <= U64_MAX):
+            return IntegerSet(els)
+    except ValueError:
+        pass
+    # the one-pass conversion failed: walk the lines to name the first bad one
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -177,8 +184,7 @@ def parse_set_text(text: str) -> IntegerSet:
             raise SetFileError(f"line {i}: negative element {v}", i)
         if v > U64_MAX:
             raise SetFileError(f"line {i}: element {v} exceeds the 64-bit range", i)
-        values.add(v)
-    return IntegerSet(tuple(sorted(values)))
+    raise AssertionError("the one-pass parse failed on no line")
 
 
 def load_set(path: str | os.PathLike) -> IntegerSet:

@@ -4,13 +4,15 @@
 encoder, which visits every leaf separately.  sumrep's reports are mostly
 flat columns of numbers or strings and lists of int pairs, so ``dumps``
 writes a list whose items all have one leaf type with a single ``join``,
-and a list of equal-width int lists with a single ``%`` format.  Anything
-else is written item by item, spelled as ``json`` spells it.
+and a list of equal-width int lists, or an ``IntRows`` holding them flat,
+with a single ``%`` format.  Anything else is written item by item,
+spelled as ``json`` spells it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 
@@ -31,16 +33,30 @@ def _float(x: float) -> str:
 _UNIFORM = {int: int.__repr__, str: _string, float: float.__repr__}
 
 
+@dataclass(frozen=True)
+class IntRows:
+    """One or more rows of ``width`` exact ints held as one flat tuple, with
+    no list per row: ``IntRows((1, 2, 3, 4), 2)`` is written as
+    ``[[1, 2], [3, 4]]``."""
+
+    flat: tuple[int, ...]
+    width: int
+
+
 def _int_rows(rows, inner: str) -> str | None:
     """Equal-width rows of exact ints (no bools), with one ``%d`` format;
     None for any other list of lists."""
     widths = set(map(len, rows))
-    flat = list(chain.from_iterable(rows))
+    flat = tuple(chain.from_iterable(rows))
     if len(widths) != 1 or not flat or set(map(type, flat)) != {int}:
         return None
+    return _flat_rows(flat, widths.pop(), inner)
+
+
+def _flat_rows(flat: tuple[int, ...], width: int, inner: str) -> str:
     deeper = inner + _INDENT
-    row = "[" + deeper + ("," + deeper).join(["%d"] * widths.pop()) + inner + "]"
-    return ("," + inner).join([row] * len(rows)) % tuple(flat)
+    row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
+    return ("," + inner).join([row] * (len(flat) // width)) % flat
 
 
 def _array(items, newline: str) -> str:
@@ -74,6 +90,11 @@ def _value(value, newline: str) -> str:
         return _float(value)
     if isinstance(value, (list, tuple)):
         return _array(value, newline)
+    if isinstance(value, IntRows):
+        if not value.flat or set(map(type, value.flat)) != {int}:
+            raise TypeError("IntRows holds one or more rows of exact ints")
+        inner = newline + _INDENT
+        return "[" + inner + _flat_rows(value.flat, value.width, inner) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -91,5 +112,6 @@ def _key(key) -> str:
 
 def dumps(doc) -> str:
     """``json.dumps(doc, indent=2)``: the same text, from dicts with str
-    keys, lists, tuples, str, int, float, bool and None."""
+    keys, lists, tuples, str, int, float, bool and None (an ``IntRows`` is
+    written as its list of rows)."""
     return _value(doc, "\n")

@@ -23,9 +23,9 @@ search that produced them.
 
 from __future__ import annotations
 
-import io
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -581,49 +581,69 @@ def _bound_holds(terms: tuple[int, int, int, int], count: int, x: int) -> bool:
     return den * count + num >= next(_exponents(h, coef, (x,)))
 
 
-def _bound_float(terms: tuple[int, int, int, int], x: int) -> float:
+def _bound_values(terms: tuple[int, int, int, int], xs: Iterable[int]) -> np.ndarray:
+    """The double-precision bound coef*log(x)/(den*log(h)) - num/den at each
+    x, for reading only.  The logs come from math.log, which np.log does not
+    match in the last place, and the float64 operations keep that order."""
     h, coef, den, num = terms
-    return coef * math.log(x) / (den * math.log(h)) - num / den
+    logs = np.array(list(map(math.log, xs)), dtype=np.float64)
+    return logs * float(coef) / (den * math.log(h)) - num / den
 
 
 class BoundCheck(NamedTuple):
-    """A(x) = count against the bound at x: ``holds`` is the exact verdict,
-    ``bound`` the double-precision value, reported only."""
+    """One row of the bound table, A(x) = count against the bound at x:
+    ``status`` is the exact verdict; ``bound`` and ``margin`` (count minus
+    bound) are double-precision values, reported only."""
 
     x: int
     count: int
     bound: float
-    holds: bool
+    margin: float
+    status: str
 
     @property
-    def margin(self) -> float:
-        return self.count - self.bound
+    def holds(self) -> bool:
+        return self.status == "pass"
 
-    @property
-    def status(self) -> str:
-        return "pass" if self.holds else "fail"
+
+class BoundRows(Sequence):
+    """Read-only rows of a BoundResult, each built as a BoundCheck when read."""
+
+    def __init__(self, result: BoundResult) -> None:
+        self._columns = [getattr(result, name) for name in BoundCheck._fields]
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i: int | slice) -> BoundCheck | tuple[BoundCheck, ...]:
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return BoundCheck(*[column[i] for column in self._columns])
 
 
 @dataclass(frozen=True)
 class BoundResult:
+    """The bound table as equal-length columns, one per BoundCheck field;
+    row i is entry i of each."""
+
     x_max: int
     exhaustive: bool
-    checks: tuple[BoundCheck, ...]
+    x: tuple[int, ...]
+    count: tuple[int, ...]
+    bound: tuple[float, ...]
+    margin: tuple[float, ...]
+    status: tuple[str, ...]
     all_ok: bool
 
+    @property
+    def checks(self) -> BoundRows:
+        return BoundRows(self)
+
     def to_dict(self) -> dict:
-        """The checks as one table: equal-length columns, row i in entry i."""
-        checks = self.checks
         return {
             "x_max": self.x_max,
             "exhaustive": self.exhaustive,
-            "checks": {
-                "x": [c.x for c in checks],
-                "count": [c.count for c in checks],
-                "bound": [c.bound for c in checks],
-                "margin": [c.margin for c in checks],
-                "status": [c.status for c in checks],
-            },
+            "checks": {name: getattr(self, name) for name in BoundCheck._fields},
             "all_ok": self.all_ok,
         }
 
@@ -651,19 +671,20 @@ def verify_counting_bound(
     if x_max < h:
         raise WindowError(f"x_max={x_max} below x >= h = {h}")
     if exhaustive:
-        xs = range(h, x_max + 1)
-        counts = [counting(A, x) for x in xs]
+        xs = tuple(range(h, x_max + 1))
+        counts = tuple(counting(A, x) for x in xs)
     else:
         els = A.elements
         first, lo, hi = bisect_right(els, 0), bisect_left(els, h + 1), bisect_right(els, x_max)
-        xs = [a - 1 for a in els[lo:hi]] + [x_max]
-        counts = [*range(lo - first, hi - first), counting(A, x_max)]
-    checks = tuple(
-        BoundCheck(x, count, _bound_float(terms, x), den * count + num >= e)
-        for x, count, e in zip(xs, counts, _exponents(h, coef, xs))
-    )
-    all_ok = all(c.holds for c in checks)
-    return BoundResult(x_max=x_max, exhaustive=exhaustive, checks=checks, all_ok=all_ok)
+        xs = (*(a - 1 for a in els[lo:hi]), x_max)
+        counts = (*range(lo - first, hi - first), counting(A, x_max))
+    status = tuple(["pass" if den * count + num >= e else "fail"
+                    for count, e in zip(counts, _exponents(h, coef, xs))])
+    bound = _bound_values(terms, xs)
+    margin = np.array(counts, dtype=np.float64) - bound
+    return BoundResult(x_max=x_max, exhaustive=exhaustive, x=xs, count=counts,
+                       bound=tuple(bound.tolist()), margin=tuple(margin.tolist()),
+                       status=status, all_ok="fail" not in status)
 
 
 # ---------------------------------------------------------------------------
@@ -749,12 +770,9 @@ class TheoremReport:
         return jsonfmt.dumps(self.to_dict())
 
     def bound_csv(self) -> str:
-        out = io.StringIO()
-        out.write("x,Ax,bound\n")
-        if self.bound_checks:
-            for c in self.bound_checks.checks:
-                out.write(f"{c.x},{c.count},{c.bound!r}\n")
-        return out.getvalue()
+        b = self.bound_checks
+        rows = zip(b.x, b.count, b.bound) if b else ()
+        return "x,Ax,bound\n" + "".join([f"{x},{count},{bound!r}\n" for x, count, bound in rows])
 
 
 def run_theorem(

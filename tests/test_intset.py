@@ -197,6 +197,17 @@ class TestSetFiles:
         with pytest.raises(SetFileError, match="line 2: negative element -4"):
             parse_set_text("1\n-4\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("# c\n7\n-1\nfoo\n", "line 3: negative element -1"),
+        ("7\n\nfoo\n-1\n", "line 3: not an integer: 'foo'"),
+        (f"  {2**64}  \n-1\n", f"line 1: element {2**64} exceeds the 64-bit range"),
+        ("1 2\n3\n", "line 1: not an integer: '1 2'"),
+    ])
+    def test_first_bad_line_wins(self, text, message):
+        with pytest.raises(SetFileError) as err:
+            parse_set_text(text)
+        assert str(err.value) == message
+
 
 class TestIntegerSet:
     def test_membership_and_iteration(self):

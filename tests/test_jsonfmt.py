@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumrep.jsonfmt import dumps
+from sumrep.jsonfmt import IntRows, dumps
 
 big_ints = st.integers(-(2**100), 2**100) | st.integers()
 floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
@@ -84,3 +84,17 @@ def test_unsupported_types_raise(doc):
 def test_non_str_keys_raise():
     with pytest.raises(TypeError, match="keys must be str"):
         dumps({"a": {1: 2}})
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(big_ints, min_size=width, max_size=width), min_size=1)))
+def test_int_rows_held_flat_match_the_list_of_rows(rows):
+    flat = IntRows(tuple(v for row in rows for v in row), len(rows[0]))
+    assert dumps({"rows": flat, "n": 1}) == json.dumps({"rows": rows, "n": 1}, indent=2)
+
+
+@pytest.mark.parametrize("rows", [IntRows((), 2), IntRows((1, 2.5), 2), IntRows((1, True), 2)])
+def test_int_rows_hold_one_or_more_rows_of_exact_ints(rows):
+    with pytest.raises(TypeError, match="exact ints"):
+        dumps([rows])

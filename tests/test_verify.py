@@ -7,10 +7,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import multiset_tops
+from sumrep import cli, jsonfmt
 from sumrep.errors import (
     CertificateError,
     ParameterError,
@@ -20,6 +21,7 @@ from sumrep.errors import (
 from sumrep.intset import block_of, blocks, counting, from_values
 from sumrep.repcount import rep_count, rep_table
 from sumrep.verify import (
+    BoundCheck,
     Mode,
     _bound_holds,
     _bound_terms,
@@ -387,6 +389,51 @@ class TestVerifyCountingBound:
             assert c.holds or not end.holds
         assert fast.all_ok == slow.all_ok
 
+    @settings(max_examples=200)
+    @given(
+        st.frozensets(st.integers(0, 120) | st.integers(2**64 - 300, 2**64 - 1),
+                      min_size=1, max_size=12),
+        THEOREMS,
+        st.integers(0, 4),
+        st.integers(0, 150),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example(frozenset({1, 64}), ("T1", 2, 2, None), 1, 62, False, False)
+    @example(frozenset({1, 64}), ("T3", 3, 4, 2), 0, 61, False, True)
+    def test_columns_equal_the_row_formula(self, values, theorem, k0, extra, near_top,
+                                           exhaustive):
+        """Each column entry is the per-row formula at its x: the count,
+        the bound in doubles, count - bound and the exact status; the JSON
+        is that of the table built row by row."""
+        theorem_id, h, ell, s = theorem
+        A = from_values(values)
+        x_max = 2**64 - 1 - extra if near_top and not exhaustive else h + extra
+        if exhaustive:
+            xs = range(h, x_max + 1)
+        else:
+            xs = [a - 1 for a in A.elements if h <= a - 1 < x_max] + [x_max]
+        terms = _bound_terms(theorem_id, h, ell, s, k0)
+        _, coef, den, num = terms
+        rows = []
+        for x in xs:
+            count = counting(A, x)
+            bound = coef * math.log(x) / (den * math.log(h)) - num / den
+            status = "pass" if _bound_holds(terms, count, x) else "fail"
+            rows.append(BoundCheck(x, count, bound, count - bound, status))
+        result = verify_counting_bound(A, theorem_id, h, ell, s, k0, x_max, exhaustive)
+        assert len(result.checks) == len(rows)
+        assert list(result.checks) == rows
+        assert result.checks[::-2] == tuple(rows[::-2])
+        assert result.all_ok == all(row.holds for row in rows)
+        by_rows = {
+            "x_max": x_max,
+            "exhaustive": exhaustive,
+            "checks": {name: [getattr(row, name) for row in rows] for name in BoundCheck._fields},
+            "all_ok": result.all_ok,
+        }
+        assert jsonfmt.dumps(result.to_dict()) == json.dumps(by_rows, indent=2)
+
     def test_failing_step_passes_at_its_left_end(self):
         # {1, 64}: A(x) = 1 on [2, 63]; the T1 bound is 0 at x=2, ~4.98 at x=63
         slow = verify_counting_bound(from_values([1, 64]), "T1", 2, 2, None, 1, 64,
@@ -608,6 +655,19 @@ class TestRunTheorem:
             row = tuple(table[name][i] for name in table)
             assert row == (c.x, c.count, c.bound, c.margin, c.status)
         assert ("fail" in table["status"]) == (not result.all_ok)
+
+    def test_text_reports_the_first_minimal_margin(self, tmp_path, capsys):
+        # margin 6.0 at x = 2, 4, 8, 16 and 32: the report names x = 2
+        path = tmp_path / "a.txt"
+        path.write_text("0\n1\n2\n3\n5\n9\n17\n33\n65\n")
+        result = run_theorem(from_values([0, 1, 2, 3, 5, 9, 17, 33, 65]), "T1", h=2,
+                             mode=Mode.prefix(34)).bound_checks
+        assert len(result.checks) == len(result.x) == 6
+        assert [c.x for c in result.checks if c.margin == 6.0] == [2, 4, 8, 16, 32]
+        assert cli.main(["theorem", "--id", "T1", "--h", "2", "--mode", "prefix:34",
+                         "--set", str(path)]) == 0
+        assert ("  bound checks: 6 candidates up to x=34, worst margin 6 at x=2 (bound -4)\n"
+                in capsys.readouterr().out)
 
     def test_explicit_x_max(self):
         report = run_theorem(RANGE50, "T1", h=2, mode=Mode.prefix(50), x_max=10)
