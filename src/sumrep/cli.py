@@ -21,7 +21,6 @@ from . import verify as verify_mod
 from .errors import SumrepError, WindowError
 from .intset import blocks, from_values, load_set
 from .repcount import one_cell_cheaper, rep_count, rep_table, sumset
-from .runtime import resolve_thread_cap
 from .selftest import run_selftest
 
 PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
@@ -57,10 +56,6 @@ def _common(sub: argparse.ArgumentParser, with_set: bool = True,
     fmt = sub.add_argument("--format", choices=("text", "json"), default="text",
                            help="output format (json is the structured report)")
     sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="thread cap, validated for compatibility (must be >= 1; "
-                          "defaults to SUMREP_THREADS); sumrep computes in one thread, "
-                          "so it changes nothing")
     sub.add_argument("--no-meta", action="store_true",
                      help="omit timestamps from structured output")
     if with_set:
@@ -409,7 +404,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
-        resolve_thread_cap(args.threads)
         return _COMMANDS[args.command](args)
     except (SumrepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -280,45 +280,51 @@ class Witness:
         }
 
 
-def _lex_completion(
-    A: IntegerSet, limit: int, size: int, total: int, forbid_all_limit: bool
-) -> tuple[int, ...] | None:
-    """Lexicographically least nondecreasing tuple of `size` elements of A,
-    each <= limit, summing to `total`; the all-`limit` tuple may be excluded."""
+def _lex_completion(A: IntegerSet, limit: int, size: int, total: int) -> tuple[int, ...] | None:
+    """Lexicographically least nondecreasing tuple of `size` >= 1 elements
+    of A, each <= limit, summing to `total`; None if there is none.
+
+    A depth-first search in ascending order, on a stack of chosen indices,
+    so its depth (size - 1) is not bounded by the recursion limit.  With
+    `left` summands to go that sum to s, a candidate a needs
+    s - a <= (left-1)*limit (a least a, found by bisection) and
+    a*left <= s (the rest are >= a).  The last summand is the remainder
+    itself: a membership test.
+    """
     els = A.elements[: bisect_right(A.elements, limit)]
-    if not els and size > 0:
-        return None
-    if size == 1:
-        if total in A and total <= limit and not (forbid_all_limit and total == limit):
-            return (total,)
-        return None
-
-    def dfs(min_idx: int, left: int, s: int, all_limit: bool) -> tuple[int, ...] | None:
-        if left == 0:
-            if s != 0 or (forbid_all_limit and all_limit):
-                return None
-            return ()
-        for idx in range(min_idx, len(els)):
-            a = els[idx]
-            if a * left > s:
-                break
-            if s - a > (left - 1) * limit:
+    chosen: list[int] = []
+    s, start = total, 0
+    while True:
+        left = size - len(chosen)
+        if left == 1:
+            # s >= the last chosen summand, by the a*left <= s prune above
+            if s <= limit and s in A:
+                return tuple(els[i] for i in chosen) + (s,)
+        else:
+            idx = max(start, bisect_left(els, s - (left - 1) * limit))
+            if idx < len(els) and els[idx] * left <= s:
+                chosen.append(idx)
+                s -= els[idx]
+                start = idx
                 continue
-            rest = dfs(idx, left - 1, s - a, all_limit and a == limit)
-            if rest is not None:
-                return (a,) + rest
-        return None
-
-    return dfs(0, size, total, True)
+        if not chosen:
+            return None
+        idx = chosen.pop()
+        s += els[idx]
+        start = idx + 1
 
 
 def _witness(A: IntegerSet, h: int, k: int, a_star: int, top: int) -> Witness:
     """The re-validated witness for block k with the given distinct top of
-    h*a_star: the top's lexicographically least completion.  A distinct top
-    always has a completion, and excluding the all-top tuple keeps it
-    non-diagonal."""
+    h*a_star: the top's lexicographically least completion.
+
+    A distinct top b exceeds a_star, since a representation with maximum b
+    and minimum below b sums to less than h*b.  So a completion of b sums to
+    h*a_star - b < (h-1)*b and holds a summand below b: the witness is never
+    diagonal, and the all-b tuple needs no exclusion.
+    """
     target = h * a_star
-    rep = _lex_completion(A, top, h - 1, target - top, forbid_all_limit=(h * top == target))
+    rep = _lex_completion(A, top, h - 1, target - top)
     witness = Witness(
         k=k,
         a_star=a_star,
@@ -357,11 +363,12 @@ def distinct_tops(
         return IntegerSet(tuple(reversed(tops)))
 
     # After the sweep takes in b, rows[h-1][n-b] counts the completions of
-    # b by h-1 summands <= b; the all-b one is the diagonal representation.
+    # b by h-1 summands <= b.  A top of a non-diagonal representation has
+    # h*b > n; at h*b = n the one completion is the all-b (diagonal) tuple.
     tops = []
 
     def visit(b: int, rows) -> None:
-        if h * b >= n and int(rows[h - 1][n - b]) > (h * b == n):
+        if h * b > n and rows[h - 1][n - b] > 0:
             tops.append(b)
 
     _sweep(A.elements, h - 1, n, visit)

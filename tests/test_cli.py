@@ -247,6 +247,19 @@ class TestTheorem:
         assert err == (f"error: premise window {window} ({mode}) holds no sum of 2A; "
                        f"the theorem checks nothing\n")
 
+    def test_witness_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # block 1's witness of 1100*1 is 1099 zeros and 1100
+        path = tmp_path / "set.txt"
+        path.write_text("0\n1\n1100\n")
+        code, out, err = run(capsys, "theorem", "--id", "T1", "--h", "1100",
+                             "--mode", "prefix:1100", "--set", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["verdict"], doc["n0"], doc["k0"]) == ("pass", 1100, 1)
+        entry = doc["blocks"]["entries"][0]
+        assert entry["k"] == 1
+        assert entry["witness"]["representation"] == [0] * 1099 + [1100]
+
     def test_csv_export(self, capsys, range50):
         code, out, _ = run(capsys, "theorem", "--id", "T1", "--h", "2",
                            "--mode", "prefix:50", "--set", range50,
@@ -382,24 +395,16 @@ class TestErrors:
                            "--set", s123, "--mode", "partial:3")
         assert code == 2
 
-    def test_env_thread_cap(self, capsys, s123, monkeypatch):
-        monkeypatch.setenv("SUMREP_THREADS", "2")
+    def test_threads_option_is_gone(self, capsys, s123):
+        code, out, err = run(capsys, "sumset", "--h", "2", "--set", s123, "--threads", "2")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --threads 2" in err
+
+    def test_threads_environment_variable_is_ignored(self, capsys, s123, monkeypatch):
+        monkeypatch.setenv("SUMREP_THREADS", "zero")
         code, out, _ = run(capsys, "rep", "--h", "2", "--window", "0:6",
                            "--set", s123, "--format", "csv")
-        assert code == 0
-        monkeypatch.setenv("SUMREP_THREADS", "zero")
-        code, _, err = run(capsys, "rep", "--h", "2", "--window", "0:6",
-                           "--set", s123)
-        assert code == 2
-
-    @pytest.mark.parametrize("command", ["sumset", "blocks", "bhs", "premise", "theorem"])
-    def test_thread_cap_validated_for_every_command(self, capsys, s123, command):
-        extra = {"sumset": ["--h", "2"], "blocks": ["--h", "2"],
-                 "bhs": ["--h", "2", "--s", "1"], "premise": ["--h", "2", "--ell", "2"],
-                 "theorem": ["--id", "T1"]}[command]
-        code, out, err = run(capsys, command, *extra, "--set", s123, "--threads", "0")
-        assert code == 2
-        assert out == "" and "thread cap" in err
+        assert code == 0 and "4,2" in out
 
     @pytest.mark.parametrize("command", [
         ["bhs", "--h", "2", "--s", "1"],

@@ -26,6 +26,7 @@ from sumrep.verify import (
     _bound_holds,
     _bound_terms,
     _exponents,
+    _lex_completion,
     block_growth_check,
     check_premise,
     compute_k0,
@@ -277,6 +278,23 @@ class TestDistinctTops:
         A = from_values(values)
         got = set(distinct_tops(A, h, min(n, h * A.max_element)))
         assert got == multiset_tops(values, h, min(n, h * A.max_element))
+
+
+class TestLexCompletion:
+    @settings(max_examples=300)
+    @given(
+        st.frozensets(st.integers(0, 20), max_size=6),
+        st.integers(-2, 22),
+        st.integers(1, 5),
+        st.integers(-2, 100),
+    )
+    @example(frozenset(), 5, 1, 0)
+    @example(frozenset({0, 3}), 3, 2, 7)
+    def test_matches_least_enumerated_tuple(self, values, limit, size, total):
+        # combinations_with_replacement yields nondecreasing tuples in lexicographic order
+        tuples = combinations_with_replacement(sorted(v for v in values if v <= limit), size)
+        least = next((t for t in tuples if sum(t) == total), None)
+        assert _lex_completion(from_values(values), limit, size, total) == least
 
 
 def bound_at(theorem_id, h, ell, s, k0, x):
