@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -176,22 +176,16 @@ def one_cell_cheaper(A: IntegerSet, h: int, n: int) -> bool:
     return _cell_bound(k, h, n) <= U64_MAX
 
 
-def _sweep(
-    elements: Sequence[int],
-    h: int,
-    hi: int,
-    visit: Callable[[int, list[np.ndarray]], None] | None = None,
-) -> list[np.ndarray]:
+def _sweep(elements: Sequence[int], h: int, hi: int) -> list[np.ndarray]:
     """Multiset counts by number of summands, one element at a time.
 
     Returns rows[0..h] with rows[j][t] = the number of j-multisets of the
-    elements <= hi summing to t; ``visit(a, rows)`` sees the rows after each
-    element a, when they count multisets of the elements <= a.  Row j stops
-    at hi - (h-j)*min(A): no count on [0, hi] reads past it, and padding
-    with h-j copies of min(A) bounds every kept cell by an h-fold count on
-    [0, hi].  Hence an add wraps exactly when some r_h(n), n <= hi, exceeds
-    64 bits, and that raises CountOverflowError.  Each add is checked only
-    when ``_cell_bound`` passes 64 bits; otherwise no cell can wrap.
+    elements <= hi summing to t.  Row j stops at hi - (h-j)*min(A): no
+    count on [0, hi] reads past it, and padding with h-j copies of min(A)
+    bounds every kept cell by an h-fold count on [0, hi].  Hence an add
+    wraps exactly when some r_h(n), n <= hi, exceeds 64 bits, and that
+    raises CountOverflowError.  Each add is checked only when
+    ``_cell_bound`` passes 64 bits; otherwise no cell can wrap.
     """
     stop = bisect_right(elements, hi)
     least = elements[0] if stop else 0
@@ -214,8 +208,6 @@ def _sweep(
                     f"the unsigned 64-bit range"
                 )
             head += add
-        if visit is not None:
-            visit(a, rows)
     return rows
 
 

@@ -39,8 +39,8 @@ from .errors import (
     PrefixTooShortError,
     WindowError,
 )
-from .intset import IntegerSet, block_of, blocks, counting
-from .repcount import _sweep, rep_table
+from .intset import IntegerSet, block_of, blocks, counting, ensure_memory
+from .repcount import rep_table
 
 SCHEMA_VERSION = 3
 
@@ -337,6 +337,37 @@ def _witness(A: IntegerSet, h: int, k: int, a_star: int, top: int) -> Witness:
     return witness
 
 
+def _tops(A: IntegerSet, h: int, targets: Sequence[int]) -> list[tuple[int, ...]]:
+    """The distinct tops of each target, for targets >= 0 in ascending order.
+
+    b is a top of n exactly when b <= n < h*b and n - b is a sum of h-1
+    elements <= b (at h*b = n the one completion is diagonal).  For h >= 3
+    one pass over the ascending elements keeps boolean rows, reach[j][t]
+    meaning t is a sum of j+1 elements <= b, and reads each target n with
+    b <= n < h*b at n - b.  No read after b passes max(targets) - b, so the
+    update for b stops there.
+    """
+    if h == 2:  # pairs (a, n-a) with a < n-a, both in A; n-a falls as a rises
+        els = A.elements
+        return [
+            tuple(n - a for a in reversed(els[: bisect_right(els, (n - 1) // 2)]) if n - a in A)
+            for n in targets
+        ]
+    tops: list[list[int]] = [[] for _ in targets]
+    hi = targets[-1] if targets else -1
+    ensure_memory((h - 1) * (hi + 1), f"the {h}-fold tops pass to {hi}")
+    reach = [np.zeros(hi + 1, dtype=bool) for _ in range(h - 1)]
+    for b in A.elements[: bisect_right(A.elements, hi)]:
+        reach[0][b] = True
+        span = max(0, hi + 1 - 2 * b)
+        for j in range(1, h - 1):
+            reach[j][b : b + span] |= reach[j - 1][:span]
+        for i in range(bisect_left(targets, b), bisect_left(targets, h * b)):
+            if reach[-1][targets[i] - b]:
+                tops[i].append(b)
+    return [tuple(t) for t in tops]
+
+
 def distinct_tops(
     A: IntegerSet, h: int, n: int, mode: Mode = Mode.complete()
 ) -> IntegerSet:
@@ -352,27 +383,7 @@ def distinct_tops(
     bound = mode.exactness_bound(A, h)
     if n > bound:
         raise WindowError(f"n={n} exceeds the exactness bound {bound}")
-
-    if h == 2:
-        # pairs (a, n-a) with a < n-a, both in A; n-a falls as a rises
-        tops = []
-        half = (n - 1) // 2
-        for a in A.elements[: bisect_right(A.elements, half)]:
-            if (n - a) in A:
-                tops.append(n - a)
-        return IntegerSet(tuple(reversed(tops)))
-
-    # After the sweep takes in b, rows[h-1][n-b] counts the completions of
-    # b by h-1 summands <= b.  A top of a non-diagonal representation has
-    # h*b > n; at h*b = n the one completion is the all-b (diagonal) tuple.
-    tops = []
-
-    def visit(b: int, rows) -> None:
-        if h * b > n and rows[h - 1][n - b] > 0:
-            tops.append(b)
-
-    _sweep(A.elements, h - 1, n, visit)
-    return IntegerSet(tuple(tops))
+    return IntegerSet(_tops(A, h, [n])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +468,11 @@ def block_growth_check(
     force).  K_max is the largest k whose target h*a_k* stays inside the
     exactness window; the row at K_max+1 is certified by K_max's tops, and
     nonempty blocks beyond that are reported unverifiable, never failed.
-    Each in-window row's witness is read off its distinct tops: the least
-    top and its lexicographically least completion, a re-validated
-    non-diagonal representation of h*a_k* with its top in block k+1.  A
-    row with no distinct top has no witness; the premise then fails at
-    n = h*a_k*.
+    Every in-window target's distinct tops come from one ``_tops`` pass,
+    and its row's witness is the least top and its lexicographically least
+    completion, a re-validated non-diagonal representation of h*a_k* with
+    its top in block k+1.  A row with no distinct top has no witness; the
+    premise then fails at n = h*a_k*.
     """
     if ell < 2:
         raise ParameterError(f"ell must be >= 2, got {ell}")
@@ -471,14 +482,12 @@ def block_growth_check(
     decomposition = blocks(A, h)
     sizes = decomposition.block_sizes()
     maxima = {k: members.max_element for k, members in decomposition}
-
-    k_max = None
-    for k in sorted(maxima):
-        if k >= k0 and h * maxima[k] <= bound:
-            k_max = k
-    if k_max is None:
+    targets = {k: h * a for k, a in maxima.items() if k >= k0 and h * a <= bound}
+    if not targets:
         unverifiable = tuple((k, sizes[k]) for k in sorted(sizes) if k >= k0)
         return BlockGrowthResult(entries=(), k_max=None, unverifiable=unverifiable, ok=True)
+    k_max = max(targets)
+    all_tops = dict(zip(targets, _tops(A, h, list(targets.values()))))
 
     requirement = _block_requirement(ell, s)
 
@@ -487,10 +496,9 @@ def block_growth_check(
         size = sizes.get(k, 0)
         required = 1 if k == k0 else requirement
         a_star = maxima.get(k)
-        in_window = a_star is not None and h * a_star <= bound
         witness = tops = tops_required = tops_ok = None
-        if in_window:  # so k <= k_max
-            tops = distinct_tops(A, h, h * a_star, mode).elements
+        if k in targets:
+            tops = all_tops[k]
             if tops:
                 witness = _witness(A, h, k, a_star, tops[0])
             tops_required = requirement
@@ -505,7 +513,7 @@ def block_growth_check(
                 required=required,
                 size_ok=size >= required,
                 a_star=a_star,
-                target=h * a_star if in_window else None,
+                target=targets.get(k),
                 witness=witness,
                 tops=tops,
                 tops_required=tops_required,

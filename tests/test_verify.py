@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import multiset_tops
-from sumrep import cli, jsonfmt
+from sumrep import cli, jsonfmt, verify
 from sumrep.errors import (
     CertificateError,
     ParameterError,
@@ -27,6 +27,7 @@ from sumrep.verify import (
     _bound_terms,
     _exponents,
     _lex_completion,
+    _tops,
     block_growth_check,
     check_premise,
     compute_k0,
@@ -268,16 +269,31 @@ class TestDistinctTops:
         with pytest.raises(WindowError):
             distinct_tops(RANGE50, 2, 51, Mode.prefix(50))
 
+    def test_counts_past_64_bits_need_no_overflow_check(self):
+        # some 15-fold counts on [0, 1500] over {0..199} pass 2^64; the
+        # tops only ask whether a completion exists
+        assert distinct_tops(from_values(range(200)), 16, 1500).elements == tuple(range(94, 200))
+
+    def test_memory_guard(self):
+        with pytest.raises(ParameterError, match=r"3-fold tops pass to \d+: needs about"):
+            distinct_tops(from_values([0, 1, 2**60]), 3, 2**61)
+
     @settings(max_examples=60)
     @given(
         st.frozensets(st.integers(0, 30), min_size=1, max_size=8),
-        st.integers(2, 4),
-        st.integers(0, 90),
+        st.integers(2, 5),
+        st.integers(0, 150),
+        st.lists(st.integers(0, 150), max_size=6).map(sorted),
     )
-    def test_matches_enumeration_oracle(self, values, h, n):
+    @example(frozenset({0, 5}), 3, 15, [])
+    @example(frozenset({0, 5}), 3, 15, [1, 15, 16])  # no tops: unreachable, diagonal, too big
+    @example(frozenset({0, 1, 3, 7}), 2, 6, [2, 6, 30])
+    def test_matches_enumeration_oracle(self, values, h, n, targets):
         A = from_values(values)
         got = set(distinct_tops(A, h, min(n, h * A.max_element)))
         assert got == multiset_tops(values, h, min(n, h * A.max_element))
+        expected = [tuple(sorted(multiset_tops(values, h, t))) for t in targets]
+        assert _tops(A, h, targets) == expected
 
 
 class TestLexCompletion:
@@ -554,6 +570,18 @@ class TestBlockGrowthCheck:
         rows = {e.k: e for e in result.entries}
         assert not rows[3].size_ok
         assert not result.ok
+
+    def test_one_tops_pass_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(A, h, targets):
+            calls.append(list(targets))
+            return _tops(A, h, targets)
+
+        monkeypatch.setattr(verify, "_tops", counted)
+        result = block_growth_check(RANGE50, 3, 2, None, 1, Mode.prefix(150))
+        assert calls == [[e.target for e in result.entries if e.target is not None]]
+        assert len(calls[0]) == 4  # base-3 blocks 1..4 have maxima 2, 8, 26 and 50
 
     @settings(max_examples=150)
     @given(st.frozensets(st.integers(0, 60), min_size=1, max_size=12), st.integers(2, 4))
